@@ -21,7 +21,6 @@ from .laurent import (
     gcd,
     gcd_list,
     insert_variable,
-    is_homogeneous,
     is_symmetric,
     is_unit,
     leading_coeff,
@@ -53,7 +52,6 @@ from .betti import (
     HKReport,
     NotPureError,
     PurityProfile,
-    betti_tuple,
     check_hk,
     equivariant_diagram,
     equivariant_tuple,

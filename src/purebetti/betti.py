@@ -15,6 +15,8 @@ from fractions import Fraction
 
 from .laurent import (
     LaurentPoly,
+    _json_int,
+    _json_ints,
     _norm_coeff,
     det,
     exact_div,
@@ -153,10 +155,7 @@ class BettiTuple:
         return BettiTuple(tuple(frobenius(f, r) for f in self.components))
 
     def alternating_sum(self):
-        total = LaurentPoly.zero(self.nvars)
-        for i, f in enumerate(self.components):
-            total = total + f if i % 2 == 0 else total - f
-        return total
+        return _alternating_sum(self.components)
 
     def purity(self):
         return _profile_from_degrees(self.degrees)
@@ -175,6 +174,8 @@ class BettiDiagram:
     __slots__ = ("nvars", "entries")
 
     def __init__(self, nvars, entries=()):
+        if nvars < 0:
+            raise ValueError("variable count must be nonnegative")
         items = entries.items() if isinstance(entries, dict) else entries
         table = {}
         for (i, exp), mult in items:
@@ -313,11 +314,19 @@ class BettiDiagram:
     def from_json(cls, obj):
         if not isinstance(obj, dict) or "nvars" not in obj or "entries" not in obj:
             raise ValueError("diagram JSON must have 'nvars' and 'entries'")
+        nvars = _json_int(obj["nvars"], "'nvars'")
+        if not isinstance(obj["entries"], list):
+            raise ValueError("'entries' must be a list")
         entries = []
         for item in obj["entries"]:
-            entries.append(
-                ((item["i"], tuple(item["deg"])), Fraction(str(item["mult"]))))
-        return cls(obj["nvars"], entries)
+            try:
+                i, deg, mult = item["i"], item["deg"], item["mult"]
+            except (KeyError, TypeError):
+                raise ValueError(
+                    "each diagram entry must have 'i', 'deg' and 'mult'") from None
+            key = (_json_int(i, "'i'"), _json_ints(deg, "'deg'"))
+            entries.append((key, Fraction(str(mult))))
+        return cls(nvars, entries)
 
     def dumps(self, **kwargs):
         return json.dumps(self.to_json(), **kwargs)
@@ -347,38 +356,30 @@ def _mult_str(m):
     return f"{m.numerator}/{m.denominator}" if m.denominator != 1 else str(m.numerator)
 
 
-def betti_tuple(diagram):
-    """Betti polynomial tuple of a pure diagram (raises NotPureError)."""
-    return diagram.to_tuple()
-
-
-def hk_residual(polys):
-    """First failing Herzog-Kuhl projection, or None when all pass.
-
-    For each k the alternating sum of the polynomials must vanish at
-    t_k = 1; the failure report carries k and the nonzero residual.
-    """
-    polys = list(polys)
-    if not polys:
-        raise ValueError("need at least one Betti polynomial")
-    n = polys[0].nvars
-    alt = LaurentPoly.zero(n)
+def _alternating_sum(polys):
+    """sum_i (-1)^i polys[i] over a nonempty sequence of polynomials."""
+    total = LaurentPoly.zero(polys[0].nvars)
     for i, f in enumerate(polys):
-        alt = alt + f if i % 2 == 0 else alt - f
-    for k in range(1, n + 1):
-        residual = set_var_one(alt, k)
-        if residual:
-            return k, residual
-    return None
+        total = total + f if i % 2 == 0 else total - f
+    return total
 
 
 def check_hk(B):
-    """Herzog-Kuhl check for a BettiTuple (or plain sequence of polynomials)."""
-    polys = B.components if isinstance(B, BettiTuple) else B
-    failure = hk_residual(polys)
-    if failure is None:
-        return HKReport(True)
-    return HKReport(False, failure[0], failure[1])
+    """Herzog-Kuhl check for a BettiTuple (or plain sequence of polynomials).
+
+    For each k the alternating sum of the polynomials must vanish at
+    t_k = 1; the failure report carries the first failing k and the
+    nonzero residual.
+    """
+    polys = B.components if isinstance(B, BettiTuple) else list(B)
+    if not polys:
+        raise ValueError("need at least one Betti polynomial")
+    alt = _alternating_sum(polys)
+    for k in range(1, alt.nvars + 1):
+        residual = set_var_one(alt, k)
+        if residual:
+            return HKReport(False, k, residual)
+    return HKReport(True)
 
 
 def hilbert_numerator(B):
@@ -390,42 +391,37 @@ def hilbert_numerator(B):
     """
     polys = B.components if isinstance(B, BettiTuple) else list(B)
     n = polys[0].nvars
-    alt = LaurentPoly.zero(n)
-    for i, f in enumerate(polys):
-        alt = alt + f if i % 2 == 0 else alt - f
     product = LaurentPoly.one(n)
     for k in range(1, n + 1):
         product = product * (LaurentPoly.one(n) - LaurentPoly.variable(k, n))
-    return exact_div(alt, product)
+    return exact_div(_alternating_sum(polys), product)
 
 
-def equivariant_diagram(e):
-    """Multigraded Betti diagram of the equivariant pure resolution for e.
+def equivariant_tuple(e):
+    """Betti polynomial tuple of the equivariant pure resolution for e.
 
-    Computed two independent ways and cross-checked: as Schur polynomials
-    of the term partitions, and as maximal minors of the n x (n+1) matrix
-    whose row i lists t_i raised to the reversed partial sums of e, each
-    divided by the Vandermonde determinant.  All multiplicities are
-    positive integers.
+    Component i is the Schur polynomial of term_partition(e, i) in
+    n = len(e) variables, so every multiplicity is a positive integer.
     """
     e = check_difference_vector(e)
     n = len(e)
-    via_schur = [schur_bialternant(term_partition(e, i), n) for i in range(n + 1)]
-    via_minors = _equivariant_minors(e)
-    for i in range(n + 1):
-        if via_schur[i] != via_minors[i]:
-            raise AssertionError(
-                f"equivariant cross-check failed for e={e}, i={i}")
-    entries = {}
-    for i, f in enumerate(via_schur):
-        for exp, c in f.terms.items():
-            assert isinstance(c, int) and c > 0
-            entries[(i, exp)] = c
-    return BettiDiagram(n, entries)
+    return BettiTuple(tuple(
+        schur_bialternant(term_partition(e, i), n) for i in range(n + 1)))
+
+
+def equivariant_diagram(e):
+    """Multigraded Betti diagram of the equivariant pure resolution for e."""
+    return equivariant_tuple(e).to_diagram()
 
 
 def _equivariant_minors(e):
-    """Betti polynomials as signed maximal minors over the Vandermonde."""
+    """Betti polynomials as signed maximal minors over the Vandermonde.
+
+    A second construction of equivariant_tuple(e), kept as a test oracle:
+    the maximal minors of the n x (n+1) matrix whose row i lists t_i
+    raised to the reversed partial sums of e, each divided by the
+    Vandermonde determinant.
+    """
     n = len(e)
     partial = [0] * (n + 1)
     for j in range(1, n + 1):
@@ -454,11 +450,6 @@ def _equivariant_minors(e):
             raise AssertionError(f"minor for e={e}, i={i} is not single-signed")
         polys.append(quotient)
     return polys
-
-
-def equivariant_tuple(e):
-    """Betti polynomial tuple of the equivariant diagram."""
-    return equivariant_diagram(e).to_tuple()
 
 
 def koszul_diagram(n):

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .betti import BettiDiagram, NotPureError, _mult_str, check_hk, hilbert_numerator
-from .hkspace import GeneratorError, find_generator, membership
+from .hkspace import GeneratorError, MembershipReport, find_generator, membership
 from .laurent import ExactDivisionError, format_poly, poly_to_json
 from .schur import schur_bialternant, schur_gcd_family, schur_ssyt
 
@@ -152,25 +152,19 @@ def _cmd_decompose(args):
     try:
         tup = diagram.to_tuple()
     except NotPureError as exc:
-        report = {
-            "in_space": False,
-            "cofactor": None,
-            "integral": False,
-            "reasons": [f"diagram is not pure: {exc.witness}"],
-        }
+        report = MembershipReport(
+            False, None, False, (f"diagram is not pure: {exc.witness}",))
     else:
-        report = membership(tup, args.e).to_json()
+        report = membership(tup, args.e)
     if args.format == "json":
-        _emit(report)
+        _emit(report.to_json())
         return 0
-    print(f"in_space: {'yes' if report['in_space'] else 'no'}")
-    if report["in_space"]:
-        from .laurent import poly_from_json
-
-        print(f"cofactor: {format_poly(poly_from_json(report['cofactor']))}")
-        print(f"integral: {'yes' if report['integral'] else 'no'}")
+    print(f"in_space: {'yes' if report.in_space else 'no'}")
+    if report.in_space:
+        print(f"cofactor: {format_poly(report.cofactor)}")
+        print(f"integral: {'yes' if report.integral else 'no'}")
     else:
-        for reason in report["reasons"]:
+        for reason in report.reasons:
             print(f"reason: {reason}")
     return 0
 
@@ -224,21 +218,24 @@ def _cmd_collapse(args):
 def _cmd_hilbert(args):
     diagram = _load_diagram(args.infile)
     polys = diagram.betti_polynomials()
-    hk = check_hk(polys)
+    # divisibility by prod (1 - t_k) holds exactly when the HK equations do,
+    # so the failing k is only looked up when the division fails
     try:
         numerator = hilbert_numerator(polys)
+        hk_k = None
     except ExactDivisionError:
         numerator = None
+        hk_k = check_hk(polys).k
     payload = {
         "divisible": numerator is not None,
         "numerator": poly_to_json(numerator) if numerator is not None else None,
-        "hk_k": hk.k,
+        "hk_k": hk_k,
     }
     if args.format == "json":
         _emit(payload)
         return 0
     if numerator is None:
-        print(f"not divisible (HK fails at k={hk.k})")
+        print(f"not divisible (HK fails at k={hk_k})")
     else:
         print(format_poly(numerator))
     return 0

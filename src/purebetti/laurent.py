@@ -12,7 +12,6 @@ functions, so everything here is safe to share between threads.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd
@@ -140,11 +139,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
 
-    def max_exponents(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return tuple(max(e[i] for e in self.terms) for i in range(self.nvars))
-
     def var_degree(self, i):
         """Largest exponent of t_i (1-based) over the support (f != 0)."""
         if not self.terms:
@@ -231,9 +225,6 @@ class LaurentPoly:
             {tuple(a + b for a, b in zip(e, exp)): c
              for e, c in self.terms.items()})
 
-    def scale(self, c):
-        return self.__mul__(c)
-
     def evaluate(self, values):
         """Exact evaluation at a rational point (nonzero where exponents are negative)."""
         values = [Fraction(v) for v in values]
@@ -316,10 +307,6 @@ def insert_variable(f, exp=0):
     """Embed an (n-1)-variable polynomial into n variables as t1^exp * f."""
     return LaurentPoly(
         f.nvars + 1, {(exp,) + e: c for e, c in f.terms.items()})
-
-
-def is_homogeneous(f):
-    return f.is_homogeneous()
 
 
 def is_symmetric(f):
@@ -449,7 +436,7 @@ def canonical(f):
     for v in nums:
         content = _int_gcd(content, v)
     scale = Fraction(denom_lcm, content)
-    result = shifted.scale(scale)
+    result = shifted * scale
     if result.terms[max(result.terms)] < 0:
         result = -result
     return result
@@ -524,7 +511,8 @@ def _primitive(f, k, scan_from):
     if cont.is_constant():
         return _strip_int_content(f)
     q = _quo_or_none(f, cont)
-    assert q is not None, "content division must be exact"
+    if q is None:
+        raise AssertionError("content division must be exact")
     return _strip_int_content(q)
 
 
@@ -812,19 +800,31 @@ def poly_to_json(f):
     }
 
 
+def _json_int(value, name):
+    """A JSON integer field (booleans excluded), or ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, name):
+    """A JSON list of integers as a tuple, or ValueError."""
+    if type(value) is not list or not set(map(type, value)) <= {int}:
+        raise ValueError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def poly_from_json(obj):
     if not isinstance(obj, dict) or "nvars" not in obj or "terms" not in obj:
         raise ValueError("polynomial JSON must have 'nvars' and 'terms'")
-    nvars = obj["nvars"]
+    nvars = _json_int(obj["nvars"], "'nvars'")
+    if not isinstance(obj["terms"], list):
+        raise ValueError("'terms' must be a list")
     terms = []
     for item in obj["terms"]:
-        terms.append((tuple(item["exp"]), Fraction(str(item["coeff"]))))
+        try:
+            exp, coeff = item["exp"], item["coeff"]
+        except (KeyError, TypeError):
+            raise ValueError("each polynomial term must have 'exp' and 'coeff'") from None
+        terms.append((_json_ints(exp, "'exp'"), Fraction(str(coeff))))
     return LaurentPoly(nvars, terms)
-
-
-def poly_dumps(f, **kwargs):
-    return json.dumps(poly_to_json(f), **kwargs)
-
-
-def poly_loads(text):
-    return poly_from_json(json.loads(text))

@@ -110,7 +110,6 @@ def schur_bialternant(lam, n):
     coefficients are positive integers with lex-leading coefficient 1.
     """
     lam = pad_partition(lam, n)
-    one = LaurentPoly.one(n)
     num_rows = []
     den_rows = []
     for i in range(1, n + 1):
@@ -121,7 +120,8 @@ def schur_bialternant(lam, n):
     result = exact_div(numerator, denominator)
     if any(c < 0 for c in result.terms.values()):
         raise AssertionError("bialternant quotient came out signed")
-    assert result.coeff(lam) == 1 or lam == (0,) * n and result == one
+    if result.coeff(lam) != 1:
+        raise AssertionError("bialternant quotient has lex-leading coefficient != 1")
     return result
 
 
@@ -180,9 +180,10 @@ def schur_gcd_family(e):
 
     Returns (r, g, cofactors) where r = gcd(e), g is the Schur polynomial
     of the partition (r-1) * staircase, and cofactors[i] is the Frobenius
-    lift by r of the Schur polynomial for the reduced vector e' = e / r.
-    The factorization schur(term_partition(e, i)) == g * cofactors[i] is
-    verified by exact multiplication before returning.
+    lift by r of the Schur polynomial for the reduced vector e' = e / r,
+    so that schur(term_partition(e, i)) == g * cofactors[i].  That
+    factorization is a theorem, not re-checked here; the test suite
+    verifies it against the direct Schur polynomials.
     """
     e = check_difference_vector(e)
     n = len(e)
@@ -192,10 +193,6 @@ def schur_gcd_family(e):
         frobenius(schur_bialternant(term_partition(e_red, i), n), r)
         for i in range(n + 1)
     ]
-    for i in range(n + 1):
-        if g * cofactors[i] != schur_bialternant(term_partition(e, i), n):
-            raise AssertionError(
-                f"gcd factorization failed for e={e}, i={i}")
     return r, g, cofactors
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import purebetti.hkspace as hkspace_module
 from purebetti.betti import (
+    _equivariant_minors,
     check_hk,
     equivariant_diagram,
     equivariant_tuple,
@@ -43,6 +44,7 @@ from purebetti.schur import (
     partitions,
     schur_bialternant,
     schur_family_gcd_bruteforce,
+    schur_gcd_family,
     schur_ssyt,
     staircase,
     term_partition,
@@ -121,14 +123,16 @@ def test_criterion_4_family_gcd_and_factorization():
         stair = schur_bialternant(tuple((r - 1) * p for p in staircase(n)), n)
         brute = schur_family_gcd_bruteforce(e)
         assert unit_equal(brute, stair), e
+        lifts = [frobenius(schur_bialternant(term_partition(e_red, i), n), r)
+                 for i in range(n + 1)]
+        assert schur_gcd_family(e) == (r, stair, lifts), e
         for i in range(n + 1):
             lhs = schur_bialternant(term_partition(e, i), n)
-            rhs = stair * frobenius(
-                schur_bialternant(term_partition(e_red, i), n), r)
-            assert lhs == rhs, (e, i)
+            assert lhs == stair * lifts[i], (e, i)
     assert schur_family_gcd_bruteforce((2, 2)) == parse_poly("t1 + t2", 2)
     _report(4, "brute-force family gcd equals the staircase Schur polynomial "
-               "with exact cofactor factorization for all e (n <= 3, entries <= 4)")
+               "and schur_gcd_family's cofactors factor every Schur term exactly "
+               "for all e (n <= 3, entries <= 4)")
 
 
 def test_criterion_5_hk_equations():
@@ -138,6 +142,7 @@ def test_criterion_5_hk_equations():
     for e in small_gap_vectors():
         n = len(e)
         B = equivariant_tuple(e)
+        assert B.components == tuple(_equivariant_minors(e)), e
         assert check_hk(B).passed, e
         diagrams += 1
         for _ in range(50):
@@ -152,7 +157,8 @@ def test_criterion_5_hk_equations():
                     polys[i] = polys[i] + bump
                     assert not check_hk(polys).passed, (e, i, exp, delta)
                     perturbations += 1
-    _report(5, f"HK equations hold for {diagrams} equivariant diagrams and "
+    _report(5, f"HK equations hold for {diagrams} equivariant diagrams "
+               "(each equal to the maximal-minor oracle) and "
                f"50 twist/Frobenius images each; all {perturbations} "
                "single-entry perturbations fail")
 

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from purebetti.betti import (
+    _equivariant_minors,
     BettiDiagram,
     BettiTuple,
     NotPureError,
-    betti_tuple,
     check_hk,
     equivariant_diagram,
     equivariant_tuple,
@@ -177,7 +177,7 @@ class TestPurity:
         profile = d.purity()
         assert profile.witness == (0, (1, 2))
         with pytest.raises(NotPureError):
-            betti_tuple(d)
+            d.to_tuple()
 
     def test_zero_slot_witnessed(self):
         d = BettiDiagram(2, {(0, (0, 0)): 1, (2, (2, 1)): 1})
@@ -204,7 +204,9 @@ class TestHerzogKuhl:
 
     def test_large_gap_vectors_pass(self):
         for e in [(4, 4, 4, 4), (1, 1, 1, 1), (3, 1, 4, 2), (2, 4, 3, 1)]:
-            assert check_hk(equivariant_tuple(e)).passed
+            B = equivariant_tuple(e)
+            assert B.components == tuple(_equivariant_minors(e)), e
+            assert check_hk(B).passed
 
     def test_zero_tuple_passes(self):
         zero = BettiTuple((LaurentPoly.zero(2),) * 3)
@@ -310,3 +312,7 @@ class TestInterchange:
     def test_json_rejects_bad_schema(self):
         with pytest.raises(ValueError):
             BettiDiagram.from_json({"entries": []})
+        with pytest.raises(ValueError):
+            BettiDiagram.from_json({"nvars": -1, "entries": []})
+        with pytest.raises(ValueError):
+            BettiDiagram.from_json({"nvars": 2, "entries": {"i": 0}})

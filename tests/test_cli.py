@@ -1,6 +1,8 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +227,18 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["check", "--in", "/nonexistent/diagram.json"]) == 1
 
+    @pytest.mark.parametrize("diagram", [
+        {"entries": [{"deg": [1, 0], "mult": "1"}], "nvars": 2},
+        {"entries": [{"i": 0, "deg": [1, 0], "mult": "1"}], "nvars": "2"},
+        {"entries": [{"i": 0, "deg": 5, "mult": "1"}], "nvars": 2},
+    ], ids=["missing-i", "string-nvars", "integer-deg"])
+    def test_malformed_diagram(self, capsys, tmp_path, diagram):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(diagram))
+        for command in ("check", "hilbert"):
+            assert main([command, "--in", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_wrong_schema(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"something": "else"}))
@@ -245,3 +259,14 @@ def test_module_entry_point(worked_multiple_file):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["in_space"] is True
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so no library check may be one
+    package = Path(__file__).resolve().parent.parent / "src" / "purebetti"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == [], f"{path.name}: assert at lines {found}"

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from purebetti.betti import BettiDiagram, BettiTuple, equivariant_tuple
+import purebetti.betti as betti_module
+import purebetti.hkspace as hkspace_module
+from purebetti.betti import BettiDiagram, BettiTuple, equivariant_diagram, equivariant_tuple
+from purebetti.cli import main as cli_main
 from purebetti.hkspace import (
     NotMultipleError,
+    _peel_cofactor,
     canonical_generator,
     canonical_tuple,
     component_gcd,
@@ -23,7 +27,7 @@ from purebetti.laurent import (
     is_unit,
     lex_leading,
 )
-from purebetti.schur import schur_bialternant
+from purebetti.schur import schur_bialternant, schur_gcd_family
 
 from helpers import P, rand_hom_poly, rand_member, rand_unit
 
@@ -134,13 +138,25 @@ class TestDecompose:
             decompose(mangled, base)
 
     def test_round_trip_random(self):
+        # for n >= 2, membership's cofactor also equals the lex-leading
+        # peeling oracle, on integral and on fractional cofactors
         rng = random.Random(25)
+        integral_seen = set()
         for n in (1, 2, 3):
             for e in itertools.product(range(1, 4), repeat=n):
                 gen = canonical_generator(e)
                 for _ in range(3):
                     p = rand_hom_poly(rng, n, max_terms=5)
                     assert decompose(p * gen, gen) == p
+                    if n == 1:
+                        continue
+                    for cofactor in (p, Fraction(1, 2) * p):
+                        member = cofactor * gen
+                        report = membership(member, e)
+                        assert report.cofactor == cofactor
+                        assert _peel_cofactor(member[0], gen[0]) == report.cofactor
+                        integral_seen.add(report.integral)
+        assert integral_seen == {True, False}
 
 
 class TestReducePair:
@@ -380,3 +396,21 @@ class TestCanonicalTuple:
         gen = canonical_generator((2, 3))
         for _ in range(10):
             assert canonical_tuple(rand_unit(rng, 2) * gen) == gen
+
+
+def test_request_path_never_calls_the_oracles(monkeypatch, tmp_path, capsys):
+    def oracle(*args):
+        raise RuntimeError("a test oracle ran on the request path")
+
+    monkeypatch.setattr(betti_module, "_equivariant_minors", oracle)
+    monkeypatch.setattr(hkspace_module, "_peel_cofactor", oracle)
+    assert equivariant_diagram((2, 3)) == equivariant_tuple((2, 3)).to_diagram()
+    gen = canonical_generator((2, 4))
+    member = P("t1^2 - t1*t2 + t2^2") * gen
+    assert membership(member, (2, 4)).in_space
+    assert schur_gcd_family((2, 4))[0] == 2
+    path = tmp_path / "member.json"
+    path.write_text(member.to_diagram().dumps())
+    assert cli_main(["decompose", "--in", str(path), "--e", "2,4"]) == 0
+    assert capsys.readouterr().out == (
+        "in_space: yes\ncofactor: t1^2 - t1*t2 + t2^2\nintegral: yes\n")

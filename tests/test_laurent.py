@@ -420,6 +420,16 @@ class TestFormats:
             f = rand_poly(rng, nvars)
             assert poly_from_json(poly_to_json(f)) == f
 
+    @pytest.mark.parametrize("obj", [
+        {"nvars": "2", "terms": []},
+        {"nvars": 2, "terms": "t1"},
+        {"nvars": 2, "terms": [{"exp": [1, 0]}]},
+        {"nvars": 2, "terms": [{"exp": 5, "coeff": "1"}]},
+    ])
+    def test_json_rejects_malformed(self, obj):
+        with pytest.raises(ValueError):
+            poly_from_json(obj)
+
     def test_json_shape(self):
         obj = poly_to_json(P("1/2*t2 + t1"))
         assert obj == {

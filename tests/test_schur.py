@@ -3,6 +3,7 @@ from math import gcd as int_gcd
 
 import pytest
 
+import purebetti.schur as schur_module
 from purebetti.laurent import (
     LaurentPoly,
     divides,
@@ -225,6 +226,21 @@ class TestFamilyGcd:
                     product = product * embed_pair(complete_homogeneous2(r), i, j, n)
             assert g == schur_bialternant(tuple((r - 1) * p for p in staircase(n)), n)
             assert g == product
+
+    def test_builds_each_schur_polynomial_once(self, monkeypatch):
+        # the gcd and the n+1 reduced-vector Schur polynomials, no re-check
+        calls = []
+        original = schur_module.schur_bialternant
+
+        def counted(lam, n):
+            calls.append(lam)
+            return original(lam, n)
+
+        monkeypatch.setattr(schur_module, "schur_bialternant", counted)
+        for e in [(2, 3), (2, 2), (2, 4, 2), (3, 3, 3)]:
+            calls.clear()
+            schur_gcd_family(e)
+            assert len(calls) == len(e) + 2, e
 
     def test_brute_force_matches(self):
         for e in [(3, 3), (4, 2), (2, 4, 2), (3, 3, 3), (2, 3, 4)]:
