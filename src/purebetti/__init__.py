@@ -42,6 +42,7 @@ from .schur import (
     schur_bialternant,
     schur_family_gcd_bruteforce,
     schur_gcd_family,
+    schur_polys,
     schur_ssyt,
     staircase,
     term_partition,

@@ -21,9 +21,8 @@ from .laurent import (
     det,
     exact_div,
     frobenius,
-    set_var_one,
 )
-from .schur import check_difference_vector, schur_bialternant, term_partition
+from .schur import check_difference_vector, schur_polys, term_partition
 
 
 class NotPureError(ValueError):
@@ -155,17 +154,16 @@ class BettiTuple:
         return BettiTuple(tuple(frobenius(f, r) for f in self.components))
 
     def alternating_sum(self):
-        return _alternating_sum(self.components)
+        return LaurentPoly(self.nvars, _alternating_terms(self.components))
 
     def purity(self):
         return _profile_from_degrees(self.degrees)
 
     def to_diagram(self):
-        entries = {}
-        for i, f in enumerate(self.components):
-            for exp, c in f.terms.items():
-                entries[(i, exp)] = c
-        return BettiDiagram(self.nvars, entries)
+        return BettiDiagram(self.nvars, (
+            ((i, exp), c)
+            for i, f in enumerate(self.components)
+            for exp, c in f.terms.items()))
 
 
 class BettiDiagram:
@@ -356,11 +354,17 @@ def _mult_str(m):
     return f"{m.numerator}/{m.denominator}" if m.denominator != 1 else str(m.numerator)
 
 
-def _alternating_sum(polys):
-    """sum_i (-1)^i polys[i] over a nonempty sequence of polynomials."""
-    total = LaurentPoly.zero(polys[0].nvars)
+def _alternating_terms(polys):
+    """Term table of sum_i (-1)^i polys[i]; zero coefficients may remain."""
+    nvars = polys[0].nvars
+    total = {}
     for i, f in enumerate(polys):
-        total = total + f if i % 2 == 0 else total - f
+        if f.nvars != nvars:
+            raise ValueError(
+                f"variable count mismatch: {nvars} vs {f.nvars}")
+        sign = 1 if i % 2 == 0 else -1
+        for exp, c in f.terms.items():
+            total[exp] = total.get(exp, 0) + sign * c
     return total
 
 
@@ -374,11 +378,15 @@ def check_hk(B):
     polys = B.components if isinstance(B, BettiTuple) else list(B)
     if not polys:
         raise ValueError("need at least one Betti polynomial")
-    alt = _alternating_sum(polys)
-    for k in range(1, alt.nvars + 1):
-        residual = set_var_one(alt, k)
-        if residual:
-            return HKReport(False, k, residual)
+    alt = _alternating_terms(polys)
+    nvars = polys[0].nvars
+    for k in range(nvars):
+        projected = {}
+        for exp, c in alt.items():
+            cut = exp[:k] + exp[k + 1:]
+            projected[cut] = projected.get(cut, 0) + c
+        if any(projected.values()):
+            return HKReport(False, k + 1, LaurentPoly(nvars - 1, projected))
     return HKReport(True)
 
 
@@ -394,7 +402,7 @@ def hilbert_numerator(B):
     product = LaurentPoly.one(n)
     for k in range(1, n + 1):
         product = product * (LaurentPoly.one(n) - LaurentPoly.variable(k, n))
-    return exact_div(_alternating_sum(polys), product)
+    return exact_div(LaurentPoly(n, _alternating_terms(polys)), product)
 
 
 def equivariant_tuple(e):
@@ -402,11 +410,14 @@ def equivariant_tuple(e):
 
     Component i is the Schur polynomial of term_partition(e, i) in
     n = len(e) variables, so every multiplicity is a positive integer.
+    All n+1 components come from one schur_polys call (the branching
+    rule); the tests compare them with the oracles schur_bialternant and
+    schur_ssyt and with the maximal-minor construction below.
     """
     e = check_difference_vector(e)
     n = len(e)
-    return BettiTuple(tuple(
-        schur_bialternant(term_partition(e, i), n) for i in range(n + 1)))
+    return BettiTuple(schur_polys(
+        [term_partition(e, i) for i in range(n + 1)], n))
 
 
 def equivariant_diagram(e):

@@ -15,7 +15,7 @@ import sys
 from .betti import BettiDiagram, NotPureError, _mult_str, check_hk, hilbert_numerator
 from .hkspace import GeneratorError, MembershipReport, find_generator, membership
 from .laurent import ExactDivisionError, format_poly, poly_to_json
-from .schur import schur_bialternant, schur_gcd_family, schur_ssyt
+from .schur import schur_bialternant, schur_gcd_family, schur_polys, schur_ssyt
 
 
 def _ints(text):
@@ -38,8 +38,7 @@ def _build_parser():
     p.add_argument("--lambda", dest="lam", type=_ints, required=True,
                    metavar="L", help="partition, e.g. 4,2,1")
     p.add_argument("--nvars", type=int, required=True)
-    p.add_argument("--method", choices=("bialternant", "ssyt", "both"),
-                   default="bialternant")
+    p.add_argument("--method", choices=("bialternant", "ssyt", "both"))
     fmt(p)
 
     p = sub.add_parser("equivariant", help="equivariant pure diagram for a gap vector")
@@ -86,12 +85,17 @@ def _emit(obj):
 
 
 def _cmd_schur(args):
-    if args.method in ("bialternant", "both"):
+    if args.method == "bialternant":
         poly = schur_bialternant(args.lam, args.nvars)
-        if args.method == "both" and poly != schur_ssyt(args.lam, args.nvars):
-            raise AssertionError("bialternant and tableau sums disagree")
-    else:
+    elif args.method == "ssyt":
         poly = schur_ssyt(args.lam, args.nvars)
+    else:
+        [poly] = schur_polys([args.lam], args.nvars)
+        if args.method == "both" and not (
+                poly == schur_bialternant(args.lam, args.nvars)
+                == schur_ssyt(args.lam, args.nvars)):
+            raise AssertionError(
+                "branching rule, bialternant and tableau sums disagree")
     if args.format == "json":
         _emit(poly_to_json(poly))
     else:

@@ -1,12 +1,15 @@
 """Schur polynomials and the partition family of the equivariant pure complex.
 
-Schur polynomials are computed two independent ways: as a bialternant
-ratio of determinants and as a sum over semistandard Young tableaux.
-The two routes cross-check each other in the test suite.
+The production route is `schur_polys`, the branching rule over
+Gelfand-Tsetlin patterns: no determinant and no division.  Two
+independent routes are kept as test oracles that the library never
+calls: `schur_bialternant`, a ratio of alternant determinants, and
+`schur_ssyt`, a sum over semistandard Young tableaux.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd as _int_gcd
 
 from .laurent import (
@@ -103,11 +106,79 @@ def term_partition(e, i):
 # -- Schur polynomials -------------------------------------------------------
 
 
+def schur_polys(partitions, n):
+    """Schur polynomials s_lam(t1..tn) for a family of partitions, as a list.
+
+    Uses the branching rule (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.5.11)
+
+        s_lam(t1..tn) = sum over mu interlacing lam of
+                        s_mu(t1..t_{n-1}) * t_n^(|lam| - |mu|),
+
+    where mu interlaces lam when lam_1 >= mu_1 >= lam_2 >= ... >= mu_{n-1}
+    >= lam_n.  One memo, local to the call, holds the term tables of the
+    partitions with at most n-2 parts.  Each (n-1)-part mu that interlaces
+    a family member is expanded once, added into every member it
+    interlaces and then released, so only the outputs and the tables in
+    at most n-2 variables stay alive.
+    """
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    lams = [pad_partition(lam, n) for lam in partitions]
+    if n == 0:
+        return [LaurentPoly.one(0) for _ in lams]
+    members = {}
+    for index, lam in enumerate(lams):
+        for mu in _interlacing(lam):
+            members.setdefault(mu, []).append(index)
+    memo = {}
+    tables = [{} for _ in lams]
+    for mu, indices in members.items():
+        sub = _branch(mu, memo)
+        for index in indices:
+            _add_shifted(tables[index], sub, sum(lams[index]) - sum(mu))
+    result = []
+    for lam, table in zip(lams, tables):
+        if any(c < 0 for c in table.values()):
+            raise AssertionError("branching sum came out signed")
+        if table.get(lam) != 1:
+            raise AssertionError("branching sum has lex-leading coefficient != 1")
+        result.append(LaurentPoly(n, table))
+    return result
+
+
+def _interlacing(lam):
+    """The partitions mu with lam_1 >= mu_1 >= lam_2 >= ... >= mu_{k-1} >= lam_k."""
+    return product(*(range(lam[j + 1], lam[j] + 1) for j in range(len(lam) - 1)))
+
+
+def _branch(lam, memo):
+    """Term table of s_lam in len(lam) variables; memoises every smaller table."""
+    if not lam:
+        return {(): 1}
+    table = {}
+    for mu in _interlacing(lam):
+        sub = memo.get(mu)
+        if sub is None:
+            sub = memo[mu] = _branch(mu, memo)
+        _add_shifted(table, sub, sum(lam) - sum(mu))
+    return table
+
+
+def _add_shifted(table, sub, d):
+    """Add sub * t_last^d into table, appending d as the last exponent."""
+    last = (d,)
+    for exp, c in sub.items():
+        key = exp + last
+        table[key] = table.get(key, 0) + c
+
+
 def schur_bialternant(lam, n):
     """Schur polynomial in n variables as a ratio of alternant determinants.
 
-    Both determinants are expanded exactly; the quotient is exact and its
-    coefficients are positive integers with lex-leading coefficient 1.
+    A test oracle for schur_polys.  Both determinants are expanded
+    exactly; the quotient is exact and its coefficients are positive
+    integers with lex-leading coefficient 1.
     """
     lam = pad_partition(lam, n)
     num_rows = []
@@ -135,7 +206,7 @@ def schur_ssyt(lam, n):
 
     Sums t^content over all semistandard Young tableaux of shape lam with
     entries from 1..n (rows weakly increase, columns strictly increase).
-    Serves as an independent oracle for schur_bialternant.
+    A second test oracle for schur_polys, independent of the bialternant.
     """
     lam = pad_partition(lam, n)
     shape = [p for p in lam if p > 0]
@@ -181,24 +252,24 @@ def schur_gcd_family(e):
     Returns (r, g, cofactors) where r = gcd(e), g is the Schur polynomial
     of the partition (r-1) * staircase, and cofactors[i] is the Frobenius
     lift by r of the Schur polynomial for the reduced vector e' = e / r,
-    so that schur(term_partition(e, i)) == g * cofactors[i].  That
-    factorization is a theorem, not re-checked here; the test suite
-    verifies it against the direct Schur polynomials.
+    so that schur(term_partition(e, i)) == g * cofactors[i].  All n+2
+    Schur polynomials come from one schur_polys call.  The factorization
+    is a theorem, not re-checked here; the test suite verifies it against
+    the direct Schur polynomials of the oracles schur_bialternant and
+    schur_ssyt.
     """
     e = check_difference_vector(e)
     n = len(e)
     r, e_red = frobenius_split(e)
-    g = schur_bialternant(tuple((r - 1) * p for p in staircase(n)), n)
-    cofactors = [
-        frobenius(schur_bialternant(term_partition(e_red, i), n), r)
-        for i in range(n + 1)
-    ]
-    return r, g, cofactors
+    g, *reduced = schur_polys(
+        [tuple((r - 1) * p for p in staircase(n))]
+        + [term_partition(e_red, i) for i in range(n + 1)], n)
+    return r, g, [frobenius(f, r) for f in reduced]
 
 
 def schur_family_gcd_bruteforce(e):
     """Fold the generic polynomial gcd over the Schur family (test oracle)."""
     e = check_difference_vector(e)
     n = len(e)
-    return gcd_list(schur_bialternant(term_partition(e, i), n)
-                    for i in range(n + 1))
+    return gcd_list(schur_polys(
+        [term_partition(e, i) for i in range(n + 1)], n))

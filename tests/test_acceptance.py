@@ -45,6 +45,7 @@ from purebetti.schur import (
     schur_bialternant,
     schur_family_gcd_bruteforce,
     schur_gcd_family,
+    schur_polys,
     schur_ssyt,
     staircase,
     term_partition,
@@ -102,18 +103,18 @@ def test_criterion_2_decomposition_of_the_companion_resolution():
 def test_criterion_3_schur_oracle_equivalence():
     checked = 0
     for n in range(1, 5):
-        for size in range(0, 13):
-            for lam in partitions(size, n):
-                assert schur_bialternant(lam, n) == schur_ssyt(lam, n)
-                checked += 1
-    f = schur_bialternant((4, 2, 1), 3)
+        lams = [lam for size in range(0, 13) for lam in partitions(size, n)]
+        for lam, f in zip(lams, schur_polys(lams, n)):
+            assert f == schur_bialternant(lam, n) == schur_ssyt(lam, n), lam
+            checked += 1
+    [f] = schur_polys([(4, 2, 1)], 3)
     assert f.evaluate([1, 1, 1]) == 15
     assert lex_leading(f) == ((4, 2, 1), 1)
     assert leading_coeff(f) == schur_bialternant((2, 1), 2)
     assert trailing_coeff(f) == (
         parse_poly("t1*t2", 2) * schur_bialternant((3, 1), 2))
-    _report(3, f"bialternant == tableau sum on {checked} partitions "
-               "(|lam| <= 12, n <= 4), slice identities included")
+    _report(3, f"branching rule == bialternant == tableau sum on {checked} "
+               "partitions (|lam| <= 12, n <= 4), slice identities included")
 
 
 def test_criterion_4_family_gcd_and_factorization():

@@ -19,12 +19,36 @@ from purebetti.laurent import (
     ExactDivisionError,
     LaurentPoly,
     frobenius,
+    is_symmetric,
     leading_coeff,
+    lex_leading,
     parse_poly,
+    set_var_one,
 )
 from purebetti.schur import schur_bialternant, term_partition
 
-from helpers import P, rand_hom_poly
+from helpers import P, rand_coeff, rand_hom_poly
+
+
+def weyl_dimension(lam):
+    """prod_{i<j} (lam_i - lam_j + j - i) / (j - i): the value s_lam(1, ..., 1)."""
+    num = den = 1
+    for i, j in itertools.combinations(range(len(lam)), 2):
+        num *= lam[i] - lam[j] + j - i
+        den *= j - i
+    return Fraction(num, den)
+
+
+def first_failing_projection(polys):
+    """(k, residual) of the first t_k = 1 where the alternating sum survives."""
+    alt = LaurentPoly.zero(polys[0].nvars)
+    for i, f in enumerate(polys):
+        alt = alt + f if i % 2 == 0 else alt - f
+    for k in range(1, alt.nvars + 1):
+        residual = set_var_one(alt, k)
+        if residual:
+            return k, residual
+    return None, None
 
 
 def worked_pair():
@@ -97,6 +121,28 @@ class TestEquivariantDiagram:
         for e in [(3,), (1, 4), (2, 2, 2), (3, 1, 2)]:
             d = equivariant_diagram(e)
             assert d.is_integral() and d.is_nonnegative()
+
+    def test_ladder_sizes_match_the_bialternant(self):
+        for e in [(1, 2, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5), (1, 1, 1, 1, 1),
+                  (2, 2, 2, 2, 2)]:
+            n = len(e)
+            assert equivariant_tuple(e).components == tuple(
+                schur_bialternant(term_partition(e, i), n)
+                for i in range(n + 1)), e
+
+    def test_top_ladder_rung_by_independent_invariants(self):
+        # the bialternant takes many seconds here, so check what the
+        # Schur polynomials must satisfy instead
+        e = (1, 2, 3, 4, 5)
+        n = len(e)
+        B = equivariant_tuple(e)
+        for i, f in enumerate(B.components):
+            lam = term_partition(e, i)
+            assert sum(f.terms.values()) == weyl_dimension(lam), i
+            assert is_symmetric(f), i
+            assert lex_leading(f) == (lam, 1), i
+        assert check_hk(B).passed
+        assert len(B.to_diagram().entries) == 35783
 
 
 class TestWorkedPairDiagrams:
@@ -207,6 +253,35 @@ class TestHerzogKuhl:
             B = equivariant_tuple(e)
             assert B.components == tuple(_equivariant_minors(e)), e
             assert check_hk(B).passed
+
+    def test_report_matches_projection_of_the_sum(self):
+        # single-entry perturbations fail at k = 1; a pair c*t^a in B_0 and
+        # c*t^(a + e_1 * unit_1) in B_1 cancels at t_1 = 1 and first fails
+        # at k = 2
+        rng = random.Random(22)
+        for e in [(2, 3), (2, 2), (1, 2, 3), (3, 4, 5), (1, 2, 2, 3)]:
+            B = equivariant_tuple(e)
+            report = check_hk(B)
+            assert (report.k, report.residual) == (None, None)
+            assert first_failing_projection(B.components) == (None, None)
+            for _ in range(10):
+                c = rand_coeff(rng, allow_fraction=True)
+                polys = list(B.components)
+                i = rng.randrange(len(polys))
+                exp = rng.choice(sorted(polys[i].terms))
+                polys[i] = polys[i] + LaurentPoly.monomial(c, exp)
+                report = check_hk(polys)
+                assert (report.k, report.residual) == first_failing_projection(polys)
+                assert not report.passed and report.k == 1
+
+                polys = list(B.components)
+                a = rng.choice(sorted(polys[0].terms))
+                polys[0] = polys[0] + LaurentPoly.monomial(c, a)
+                polys[1] = polys[1] + LaurentPoly.monomial(
+                    c, (a[0] + e[0],) + a[1:])
+                report = check_hk(polys)
+                assert (report.k, report.residual) == first_failing_projection(polys)
+                assert not report.passed and report.k == 2
 
     def test_zero_tuple_passes(self):
         zero = BettiTuple((LaurentPoly.zero(2),) * 3)

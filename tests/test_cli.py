@@ -39,6 +39,10 @@ class TestSchurCommand:
         code2, out2 = run_cli(capsys, "schur", "--lambda", "4,2,1", "--nvars", "3",
                               "--method", "ssyt")
         assert code2 == 0 and out == out2
+        code3, out3 = run_cli(capsys, "schur", "--lambda", "4,2,1", "--nvars", "3")
+        code4, out4 = run_cli(capsys, "schur", "--lambda", "4,2,1", "--nvars", "3",
+                              "--method", "bialternant")
+        assert code3 == code4 == 0 and out3 == out4 == out
 
     def test_json_round_trip(self, capsys):
         code, out = run_cli(capsys, "schur", "--lambda", "2,1", "--nvars", "2",

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 import purebetti.betti as betti_module
+import purebetti.cli as cli_module
 import purebetti.hkspace as hkspace_module
+import purebetti.laurent as laurent_module
+import purebetti.schur as schur_module
 from purebetti.betti import BettiDiagram, BettiTuple, equivariant_diagram, equivariant_tuple
 from purebetti.cli import main as cli_main
 from purebetti.hkspace import (
@@ -404,6 +407,10 @@ def test_request_path_never_calls_the_oracles(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(betti_module, "_equivariant_minors", oracle)
     monkeypatch.setattr(hkspace_module, "_peel_cofactor", oracle)
+    for module in (schur_module, cli_module):
+        monkeypatch.setattr(module, "schur_bialternant", oracle)
+    for module in (laurent_module, schur_module, betti_module):
+        monkeypatch.setattr(module, "det", oracle)
     assert equivariant_diagram((2, 3)) == equivariant_tuple((2, 3)).to_diagram()
     gen = canonical_generator((2, 4))
     member = P("t1^2 - t1*t2 + t2^2") * gen
@@ -414,3 +421,5 @@ def test_request_path_never_calls_the_oracles(monkeypatch, tmp_path, capsys):
     assert cli_main(["decompose", "--in", str(path), "--e", "2,4"]) == 0
     assert capsys.readouterr().out == (
         "in_space: yes\ncofactor: t1^2 - t1*t2 + t2^2\nintegral: yes\n")
+    assert cli_main(["schur", "--lambda", "2,1", "--nvars", "2"]) == 0
+    assert capsys.readouterr().out == "t1^2*t2 + t1*t2^2\n"

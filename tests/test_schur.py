@@ -228,19 +228,29 @@ class TestFamilyGcd:
             assert g == product
 
     def test_builds_each_schur_polynomial_once(self, monkeypatch):
-        # the gcd and the n+1 reduced-vector Schur polynomials, no re-check
+        # one branching-rule call for the gcd and the n+1 reduced-vector
+        # Schur polynomials, no re-check and no oracle
         calls = []
-        original = schur_module.schur_bialternant
+        oracle_calls = []
+        original = schur_module.schur_polys
+        oracle = schur_module.schur_bialternant
 
-        def counted(lam, n):
-            calls.append(lam)
-            return original(lam, n)
+        def counted(lams, n):
+            calls.append(list(lams))
+            return original(calls[-1], n)
 
-        monkeypatch.setattr(schur_module, "schur_bialternant", counted)
+        def counted_oracle(lam, n):
+            oracle_calls.append(lam)
+            return oracle(lam, n)
+
+        monkeypatch.setattr(schur_module, "schur_polys", counted)
+        monkeypatch.setattr(schur_module, "schur_bialternant", counted_oracle)
         for e in [(2, 3), (2, 2), (2, 4, 2), (3, 3, 3)]:
             calls.clear()
             schur_gcd_family(e)
-            assert len(calls) == len(e) + 2, e
+            assert len(calls) == 1, e
+            assert len(calls[0]) == len(e) + 2, e
+        assert oracle_calls == []
 
     def test_brute_force_matches(self):
         for e in [(3, 3), (4, 2), (2, 4, 2), (3, 3, 3), (2, 3, 4)]:
