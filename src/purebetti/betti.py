@@ -10,11 +10,16 @@ arbitrary elements of the linear span share the same type.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .laurent import (
     LaurentPoly,
+    _frozen,
+    _is_int_vector,
+    _json_coeff,
     _json_int,
     _json_ints,
     _norm_coeff,
@@ -78,6 +83,20 @@ def _profile_from_degrees(degrees):
     return PurityProfile(degrees, diffs, None)
 
 
+def _purity(polys):
+    """Purity profile of a diagram given as its Betti polynomials."""
+    degrees = []
+    for i, f in enumerate(polys):
+        degs = f.total_degrees()
+        if not degs:
+            degrees.append(None)
+        elif len(degs) > 1:
+            return PurityProfile(None, None, (i, tuple(sorted(degs))))
+        else:
+            degrees.append(degs.pop())
+    return _profile_from_degrees(degrees)
+
+
 class BettiTuple:
     """An (n+1)-tuple of homogeneous Betti polynomials in n variables."""
 
@@ -99,9 +118,11 @@ class BettiTuple:
             if not f.is_homogeneous():
                 raise ValueError(f"component {i} is not homogeneous")
             degrees.append(f.degree())
-        self.components = components
-        self.nvars = nvars
-        self.degrees = tuple(degrees)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "degrees", tuple(degrees))
+
+    __setattr__ = __delattr__ = _frozen
 
     def __len__(self):
         return len(self.components)
@@ -149,8 +170,6 @@ class BettiTuple:
         return BettiTuple(tuple(f.shift(exp) for f in self.components))
 
     def frobenius(self, r):
-        if r < 1:
-            raise ValueError("frobenius exponent must be a positive integer")
         return BettiTuple(tuple(frobenius(f, r) for f in self.components))
 
     def alternating_sum(self):
@@ -160,10 +179,10 @@ class BettiTuple:
         return _profile_from_degrees(self.degrees)
 
     def to_diagram(self):
-        return BettiDiagram(self.nvars, (
-            ((i, exp), c)
+        return BettiDiagram._trusted(self.nvars, {
+            (i, exp): c
             for i, f in enumerate(self.components)
-            for exp, c in f.terms.items()))
+            for exp, c in f.terms.items()})
 
 
 class BettiDiagram:
@@ -174,24 +193,33 @@ class BettiDiagram:
     def __init__(self, nvars, entries=()):
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
-        items = entries.items() if isinstance(entries, dict) else entries
+        items = entries.items() if isinstance(entries, Mapping) else entries
         table = {}
         for (i, exp), mult in items:
             exp = tuple(exp)
-            if not 0 <= i <= nvars:
-                raise ValueError(
-                    f"homological index {i} out of range 0..{nvars}")
-            if len(exp) != nvars:
-                raise ValueError(f"multidegree {exp} has wrong length")
-            mult = _norm_coeff(mult)
-            if mult:
-                acc = _norm_coeff(table.get((i, exp), 0) + mult)
-                if acc:
-                    table[(i, exp)] = acc
-                else:
-                    table.pop((i, exp), None)
-        self.nvars = nvars
-        self.entries = table
+            if type(i) is not int:
+                raise ValueError(f"homological index {i!r} must be an integer")
+            if not _is_int_vector(exp):
+                raise ValueError(f"multidegree {exp} must consist of integers")
+            _add_entry(table, nvars, i, exp, _norm_coeff(mult))
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "entries", MappingProxyType(table))
+
+    __setattr__ = __delattr__ = _frozen
+
+    @classmethod
+    def _trusted(cls, nvars, table):
+        """Wrap an entry table the library built itself, without re-checking it.
+
+        The caller guarantees what __init__ would check: every key is
+        (i, exp) with 0 <= i <= nvars and exp a tuple of nvars ints, every
+        value a nonzero int or a non-integral Fraction, and no one else
+        holds the table.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "entries", MappingProxyType(table))
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, BettiDiagram):
@@ -211,7 +239,7 @@ class BettiDiagram:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        table = dict(self.entries)
+        table = self.entries.copy()
         for key, mult in other.entries.items():
             table[key] = table.get(key, 0) + mult
         return BettiDiagram(self.nvars, table)
@@ -221,7 +249,7 @@ class BettiDiagram:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        table = dict(self.entries)
+        table = self.entries.copy()
         for key, mult in other.entries.items():
             table[key] = table.get(key, 0) - mult
         return BettiDiagram(self.nvars, table)
@@ -256,7 +284,7 @@ class BettiDiagram:
         tables = [{} for _ in range(self.nvars + 1)]
         for (i, exp), m in self.entries.items():
             tables[i][exp] = m
-        return tuple(LaurentPoly(self.nvars, t) for t in tables)
+        return tuple(LaurentPoly._trusted(self.nvars, t) for t in tables)
 
     def collapse_total(self):
         """Sum multiplicities over multidegrees of equal total degree."""
@@ -271,23 +299,15 @@ class BettiDiagram:
         return table
 
     def purity(self):
-        degrees = []
-        for i, f in enumerate(self.betti_polynomials()):
-            degs = f.total_degrees()
-            if not degs:
-                degrees.append(None)
-            elif len(degs) > 1:
-                return PurityProfile(None, None, (i, tuple(sorted(degs))))
-            else:
-                degrees.append(degs.pop())
-        return _profile_from_degrees(degrees)
+        return _purity(self.betti_polynomials())
 
     def to_tuple(self):
         """Betti polynomial tuple of a pure (or empty) diagram."""
-        profile = self.purity()
+        polys = self.betti_polynomials()
+        profile = _purity(polys)
         if profile.witness is not None:
             raise NotPureError(profile.witness)
-        return BettiTuple(self.betti_polynomials())
+        return BettiTuple(polys)
 
     def is_integral(self):
         return all(m.denominator == 1 for m in self.entries.values())
@@ -313,18 +333,20 @@ class BettiDiagram:
         if not isinstance(obj, dict) or "nvars" not in obj or "entries" not in obj:
             raise ValueError("diagram JSON must have 'nvars' and 'entries'")
         nvars = _json_int(obj["nvars"], "'nvars'")
+        if nvars < 0:
+            raise ValueError("variable count must be nonnegative")
         if not isinstance(obj["entries"], list):
             raise ValueError("'entries' must be a list")
-        entries = []
+        table = {}
         for item in obj["entries"]:
             try:
                 i, deg, mult = item["i"], item["deg"], item["mult"]
             except (KeyError, TypeError):
                 raise ValueError(
                     "each diagram entry must have 'i', 'deg' and 'mult'") from None
-            key = (_json_int(i, "'i'"), _json_ints(deg, "'deg'"))
-            entries.append((key, Fraction(str(mult))))
-        return cls(nvars, entries)
+            _add_entry(table, nvars, _json_int(i, "'i'"),
+                       _json_ints(deg, "'deg'"), _json_coeff(mult))
+        return cls._trusted(nvars, table)
 
     def dumps(self, **kwargs):
         return json.dumps(self.to_json(), **kwargs)
@@ -348,6 +370,21 @@ class BettiDiagram:
             rank = sum(f.terms.values()) if f else 0
             lines.append(f"i={i}  rank={_mult_str(rank)}  {body}")
         return "\n".join(lines)
+
+
+def _add_entry(table, nvars, i, exp, mult):
+    """Range-check one entry and add its normalized multiplicity into table."""
+    if not 0 <= i <= nvars:
+        raise ValueError(f"homological index {i} out of range 0..{nvars}")
+    if len(exp) != nvars:
+        raise ValueError(f"multidegree {exp} has wrong length")
+    key = (i, exp)
+    if key in table:
+        mult = _norm_coeff(table[key] + mult)
+    if mult:
+        table[key] = mult
+    else:
+        table.pop(key, None)
 
 
 def _mult_str(m):

@@ -2,8 +2,9 @@
 
 Domain outcomes (not pure, HK failure, not a multiple) are data: the run
 still exits 0 and prints a structured report.  Exit code 1 marks domain
-errors that prevent a computation (bad schema, mismatched variable
-counts, invalid inputs); 2 marks usage and parse errors.
+errors that prevent a computation (unreadable files, bad schema,
+mismatched variable counts, invalid inputs, failed reductions); 2 marks
+usage and parse errors.
 """
 
 from __future__ import annotations
@@ -12,8 +13,21 @@ import argparse
 import json
 import sys
 
-from .betti import BettiDiagram, NotPureError, _mult_str, check_hk, hilbert_numerator
-from .hkspace import GeneratorError, MembershipReport, find_generator, membership
+from .betti import (
+    BettiDiagram,
+    NotPureError,
+    _mult_str,
+    _purity,
+    check_hk,
+    hilbert_numerator,
+)
+from .hkspace import (
+    GeneratorError,
+    MembershipReport,
+    ReductionError,
+    find_generator,
+    membership,
+)
 from .laurent import ExactDivisionError, format_poly, poly_to_json
 from .schur import schur_bialternant, schur_gcd_family, schur_polys, schur_ssyt
 
@@ -120,8 +134,9 @@ def _cmd_equivariant(args):
 
 
 def _check_payload(diagram):
-    profile = diagram.purity()
-    hk = check_hk(diagram.betti_polynomials())
+    polys = diagram.betti_polynomials()
+    profile = _purity(polys)
+    hk = check_hk(polys)
     return {
         "pure": bool(profile.is_pure or profile.is_zero),
         "witness": None if profile.witness is None else str(profile.witness),
@@ -268,11 +283,8 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, NotPureError, GeneratorError,
-            AssertionError) as exc:
+    except (OSError, ValueError, ZeroDivisionError, NotPureError,
+            GeneratorError, ReductionError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

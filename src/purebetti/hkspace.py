@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .betti import BettiTuple, check_hk, equivariant_tuple
 from .laurent import (
@@ -265,9 +266,14 @@ def canonical_generator(e):
 
     With e = r * e', this is the componentwise Frobenius lift by r of the
     equivariant tuple for e'.  Its components are Schur polynomials with
-    no common factor, each with lex-leading coefficient one.
+    no common factor, each with lex-leading coefficient one.  The tuple is
+    built once per e and shared from a bounded cache; it is immutable.
     """
-    e = check_difference_vector(e)
+    return _canonical_generator(check_difference_vector(e))
+
+
+@lru_cache(maxsize=16)
+def _canonical_generator(e):
     r, e_red = frobenius_split(e)
     return equivariant_tuple(e_red).frobenius(r)
 

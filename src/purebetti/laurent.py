@@ -6,15 +6,22 @@ Coefficients are Python ints or fractions.Fraction; arithmetic is always
 exact.  The monomial order used throughout is lexicographic with
 t1 > t2 > ... > tn, exponents compared left to right.
 
-All values are immutable after construction and all operations are pure
-functions, so everything here is safe to share between threads.
+The public constructor, parse_poly and poly_from_json check every term
+of outside input.  Term tables the library builds itself (sums,
+products, shifts, quotients, slices) are wrapped by the private
+LaurentPoly._trusted without a second check.  `terms` is a read-only
+mapping and attributes cannot be assigned, so values are immutable and
+all operations are pure functions: everything here is safe to share
+between threads.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd as _int_gcd
+from types import MappingProxyType
 
 
 class ExactDivisionError(ArithmeticError):
@@ -32,6 +39,22 @@ def _norm_coeff(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
+def _normalized(table):
+    """A summed term table with zeros dropped and integral Fractions made int."""
+    return {e: c.numerator if c.denominator == 1 else c
+            for e, c in table.items() if c}
+
+
+def _is_int_vector(exp):
+    """True when every entry of the tuple is an int (booleans excluded)."""
+    return all(type(x) is int for x in exp)
+
+
+def _frozen(self, *args):
+    """Attribute assignment and deletion: values are immutable."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _coeff_div(a, b):
     """Exact rational quotient a / b, normalized like _norm_coeff."""
     q = Fraction(a) / Fraction(b)
@@ -46,27 +69,39 @@ class LaurentPoly:
     def __init__(self, nvars, terms=()):
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
-        items = terms.items() if isinstance(terms, dict) else terms
+        items = terms.items() if isinstance(terms, Mapping) else terms
         table = {}
         for exp, c in items:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(
                     f"exponent {exp} has length {len(exp)}, expected {nvars}")
-            if not all(isinstance(e, int) for e in exp):
+            if not _is_int_vector(exp):
                 raise ValueError(f"exponent {exp} must consist of integers")
             c = _norm_coeff(c)
+            if exp in table:
+                c = _norm_coeff(table[exp] + c)
             if c:
-                acc = _norm_coeff(table.get(exp, 0) + c)
-                if acc:
-                    table[exp] = acc
-                else:
-                    table.pop(exp, None)
+                table[exp] = c
+            else:
+                table.pop(exp, None)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", table)
+        object.__setattr__(self, "terms", MappingProxyType(table))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    __setattr__ = __delattr__ = _frozen
+
+    @classmethod
+    def _trusted(cls, nvars, table):
+        """Wrap a term table the library built itself, without re-checking it.
+
+        The caller guarantees what __init__ would check: every key is a
+        tuple of nvars ints, every value a nonzero int or a non-integral
+        Fraction, and no one else holds the table.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", MappingProxyType(table))
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -169,29 +204,30 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_compatible(other)
-        table = dict(self.terms)
+        table = self.terms.copy()
         for exp, c in other.terms.items():
             table[exp] = table.get(exp, 0) + c
-        return LaurentPoly(self.nvars, table)
+        return LaurentPoly._trusted(self.nvars, _normalized(table))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_compatible(other)
-        table = dict(self.terms)
+        table = self.terms.copy()
         for exp, c in other.terms.items():
             table[exp] = table.get(exp, 0) - c
-        return LaurentPoly(self.nvars, table)
+        return LaurentPoly._trusted(self.nvars, _normalized(table))
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly.zero(self.nvars)
-            return LaurentPoly(
-                self.nvars, {e: c * other for e, c in self.terms.items()})
+            return LaurentPoly._trusted(self.nvars, _normalized(
+                {e: c * other for e, c in self.terms.items()}))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_compatible(other)
@@ -200,7 +236,7 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 table[exp] = table.get(exp, 0) + c1 * c2
-        return LaurentPoly(self.nvars, table)
+        return LaurentPoly._trusted(self.nvars, _normalized(table))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -220,7 +256,9 @@ class LaurentPoly:
         exp = tuple(exp)
         if len(exp) != self.nvars:
             raise ValueError("shift vector has wrong length")
-        return LaurentPoly(
+        if not _is_int_vector(exp):
+            raise ValueError(f"shift vector {exp} must consist of integers")
+        return LaurentPoly._trusted(
             self.nvars,
             {tuple(a + b for a, b in zip(e, exp)): c
              for e, c in self.terms.items()})
@@ -258,9 +296,9 @@ def lex_leading(f):
 
 def frobenius(f, r):
     """Substitute t_i -> t_i^r: every exponent vector is scaled by r."""
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise ValueError("frobenius exponent must be a positive integer")
-    return LaurentPoly(
+    return LaurentPoly._trusted(
         f.nvars,
         {tuple(r * e for e in exp): c for exp, c in f.terms.items()})
 
@@ -280,7 +318,7 @@ def var_slice(f, d):
     """Coefficient of t1^d as a polynomial in t2..tn (may be zero)."""
     if f.nvars < 1:
         raise ValueError("need at least one variable")
-    return LaurentPoly(
+    return LaurentPoly._trusted(
         f.nvars - 1,
         {exp[1:]: c for exp, c in f.terms.items() if exp[0] == d})
 
@@ -305,7 +343,9 @@ def trailing_coeff(f):
 
 def insert_variable(f, exp=0):
     """Embed an (n-1)-variable polynomial into n variables as t1^exp * f."""
-    return LaurentPoly(
+    if type(exp) is not int:
+        raise ValueError(f"exponent {exp!r} must be an integer")
+    return LaurentPoly._trusted(
         f.nvars + 1, {(exp,) + e: c for e, c in f.terms.items()})
 
 
@@ -341,7 +381,7 @@ def _quo_or_none(f, g):
     gw = g.shift(tuple(-e for e in mg))
     gl_exp = max(gw.terms)
     gl_c = gw.terms[gl_exp]
-    rem = dict(fw.terms)
+    rem = fw.terms.copy()
     quo = {}
     while rem:
         r_exp = max(rem)
@@ -358,7 +398,7 @@ def _quo_or_none(f, g):
             else:
                 rem.pop(exp, None)
     shift_back = tuple(a - b for a, b in zip(mf, mg))
-    return LaurentPoly(f.nvars, quo).shift(shift_back)
+    return LaurentPoly._trusted(f.nvars, quo).shift(shift_back)
 
 
 def exact_div(f, g):
@@ -386,8 +426,10 @@ class Unit:
         coeff = _norm_coeff(coeff)
         if not coeff:
             raise ValueError("unit coefficient must be nonzero")
-        self.coeff = coeff
-        self.exp = tuple(exp)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "exp", tuple(exp))
+
+    __setattr__ = __delattr__ = _frozen
 
     def as_poly(self):
         return LaurentPoly.monomial(self.coeff, self.exp)
@@ -814,6 +856,20 @@ def _json_ints(value, name):
     return tuple(value)
 
 
+def _json_coeff(value):
+    """The coefficient Fraction(str(value)), normalized like _norm_coeff.
+
+    A plain ASCII integer with an optional '-' is parsed by int, which is
+    faster; everything else goes through Fraction, which raises ValueError
+    on malformed text.
+    """
+    text = str(value)
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    return _norm_coeff(Fraction(text))
+
+
 def poly_from_json(obj):
     if not isinstance(obj, dict) or "nvars" not in obj or "terms" not in obj:
         raise ValueError("polynomial JSON must have 'nvars' and 'terms'")
@@ -826,5 +882,5 @@ def poly_from_json(obj):
             exp, coeff = item["exp"], item["coeff"]
         except (KeyError, TypeError):
             raise ValueError("each polynomial term must have 'exp' and 'coeff'") from None
-        terms.append((_json_ints(exp, "'exp'"), Fraction(str(coeff))))
+        terms.append((_json_ints(exp, "'exp'"), _json_coeff(coeff)))
     return LaurentPoly(nvars, terms)

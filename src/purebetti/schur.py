@@ -143,7 +143,7 @@ def schur_polys(partitions, n):
             raise AssertionError("branching sum came out signed")
         if table.get(lam) != 1:
             raise AssertionError("branching sum has lex-leading coefficient != 1")
-        result.append(LaurentPoly(n, table))
+        result.append(LaurentPoly._trusted(n, table))
     return result
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import purebetti.hkspace as hkspace_module
 from purebetti.betti import BettiDiagram, equivariant_diagram, equivariant_tuple
 from purebetti.cli import main
 from purebetti.laurent import poly_from_json
@@ -230,6 +231,21 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["check", "--in", "/nonexistent/diagram.json"]) == 1
+
+    @pytest.mark.parametrize("case", ["directory", "reduction-error"])
+    def test_failure_is_an_error_line(self, capsys, monkeypatch, tmp_path,
+                                      worked_multiple_file, case):
+        if case == "directory":
+            argv = ["check", "--in", str(tmp_path)]
+        else:
+            def broken(A, B):
+                raise hkspace_module.ReductionError("descent stopped decreasing")
+
+            monkeypatch.setattr(hkspace_module, "_descend", broken)
+            argv = ["generator", "--in", worked_multiple_file, worked_multiple_file]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("diagram", [
         {"entries": [{"deg": [1, 0], "mult": "1"}], "nvars": 2},

@@ -401,7 +401,28 @@ class TestCanonicalTuple:
             assert canonical_tuple(rand_unit(rng, 2) * gen) == gen
 
 
+def test_generator_is_built_once_per_gap_vector(monkeypatch):
+    hkspace_module._canonical_generator.cache_clear()
+    builds = []
+    original = betti_module.schur_polys
+
+    def counted(lams, n):
+        builds.append(n)
+        return original(lams, n)
+
+    monkeypatch.setattr(betti_module, "schur_polys", counted)
+    assert canonical_generator((2, 3)) is canonical_generator([2, 3])
+    assert builds == [2]
+    member = P("t1 - 2*t2") * canonical_generator((2, 4))
+    assert membership(member, (2, 4)).in_space
+    assert membership(member, [2, 4]).in_space
+    assert builds == [2, 2]
+
+
 def test_request_path_never_calls_the_oracles(monkeypatch, tmp_path, capsys):
+    # a generator left in the memo by an earlier test would skip the build path
+    hkspace_module._canonical_generator.cache_clear()
+
     def oracle(*args):
         raise RuntimeError("a test oracle ran on the request path")
 
