@@ -10,11 +10,7 @@ throughout.
 from .laurent import (
     ExactDivisionError,
     LaurentPoly,
-    Unit,
-    as_unit,
     canonical,
-    det,
-    divides,
     exact_div,
     format_poly,
     frobenius,
@@ -23,27 +19,20 @@ from .laurent import (
     insert_variable,
     is_symmetric,
     is_unit,
-    leading_coeff,
     lex_leading,
     parse_poly,
     poly_from_json,
     poly_to_json,
     set_var_one,
-    trailing_coeff,
-    unit_equal,
 )
 from .schur import (
     check_difference_vector,
     check_partition,
-    complete_homogeneous2,
     frobenius_split,
     pad_partition,
     partitions,
-    schur_bialternant,
-    schur_family_gcd_bruteforce,
     schur_gcd_family,
     schur_polys,
-    schur_ssyt,
     staircase,
     term_partition,
 )
@@ -57,7 +46,6 @@ from .betti import (
     equivariant_diagram,
     equivariant_tuple,
     hilbert_numerator,
-    koszul_diagram,
 )
 from .hkspace import (
     GeneratorError,

@@ -17,6 +17,8 @@ from types import MappingProxyType
 
 from .laurent import (
     LaurentPoly,
+    _check_nvars,
+    _format_coeff,
     _frozen,
     _is_int_vector,
     _json_coeff,
@@ -191,8 +193,7 @@ class BettiDiagram:
     __slots__ = ("nvars", "entries")
 
     def __init__(self, nvars, entries=()):
-        if nvars < 0:
-            raise ValueError("variable count must be nonnegative")
+        _check_nvars(nvars)
         items = entries.items() if isinstance(entries, Mapping) else entries
         table = {}
         for (i, exp), mult in items:
@@ -265,6 +266,8 @@ class BettiDiagram:
         exp = tuple(exp)
         if len(exp) != self.nvars:
             raise ValueError("twist vector has wrong length")
+        if not _is_int_vector(exp):
+            raise ValueError(f"twist vector {exp} must consist of integers")
         return BettiDiagram(
             self.nvars,
             {(i, tuple(x + y for x, y in zip(a, exp))): m
@@ -272,7 +275,7 @@ class BettiDiagram:
 
     def frobenius(self, r):
         """Scale every multidegree by r; a pure profile d becomes r*d."""
-        if r < 1:
+        if type(r) is not int or r < 1:
             raise ValueError("frobenius exponent must be a positive integer")
         return BettiDiagram(
             self.nvars,
@@ -323,7 +326,7 @@ class BettiDiagram:
         return {
             "nvars": self.nvars,
             "entries": [
-                {"i": i, "deg": list(exp), "mult": _mult_str(m)}
+                {"i": i, "deg": list(exp), "mult": _format_coeff(m)}
                 for (i, exp), m in entries
             ],
         }
@@ -333,8 +336,7 @@ class BettiDiagram:
         if not isinstance(obj, dict) or "nvars" not in obj or "entries" not in obj:
             raise ValueError("diagram JSON must have 'nvars' and 'entries'")
         nvars = _json_int(obj["nvars"], "'nvars'")
-        if nvars < 0:
-            raise ValueError("variable count must be nonnegative")
+        _check_nvars(nvars)
         if not isinstance(obj["entries"], list):
             raise ValueError("'entries' must be a list")
         table = {}
@@ -351,10 +353,6 @@ class BettiDiagram:
     def dumps(self, **kwargs):
         return json.dumps(self.to_json(), **kwargs)
 
-    @classmethod
-    def loads(cls, text):
-        return cls.from_json(json.loads(text))
-
     def format_table(self):
         """Group by homological index, multidegrees in descending lex order."""
         lines = []
@@ -364,11 +362,11 @@ class BettiDiagram:
             for exp, m in f.sorted_terms():
                 cell = "(" + ",".join(str(x) for x in exp) + ")"
                 if m != 1:
-                    cell += f"*{_mult_str(m)}"
+                    cell += f"*{_format_coeff(m)}"
                 cells.append(cell)
             body = " ".join(cells) if cells else "-"
             rank = sum(f.terms.values()) if f else 0
-            lines.append(f"i={i}  rank={_mult_str(rank)}  {body}")
+            lines.append(f"i={i}  rank={_format_coeff(rank)}  {body}")
         return "\n".join(lines)
 
 
@@ -387,10 +385,6 @@ def _add_entry(table, nvars, i, exp, mult):
         table.pop(key, None)
 
 
-def _mult_str(m):
-    return f"{m.numerator}/{m.denominator}" if m.denominator != 1 else str(m.numerator)
-
-
 def _alternating_terms(polys):
     """Term table of sum_i (-1)^i polys[i]; zero coefficients may remain."""
     nvars = polys[0].nvars
@@ -405,6 +399,14 @@ def _alternating_terms(polys):
     return total
 
 
+def _betti_polys(B):
+    """The polynomials of a BettiTuple or of a nonempty plain sequence."""
+    polys = B.components if isinstance(B, BettiTuple) else tuple(B)
+    if not polys:
+        raise ValueError("need at least one Betti polynomial")
+    return polys
+
+
 def check_hk(B):
     """Herzog-Kuhl check for a BettiTuple (or plain sequence of polynomials).
 
@@ -412,9 +414,7 @@ def check_hk(B):
     t_k = 1; the failure report carries the first failing k and the
     nonzero residual.
     """
-    polys = B.components if isinstance(B, BettiTuple) else list(B)
-    if not polys:
-        raise ValueError("need at least one Betti polynomial")
+    polys = _betti_polys(B)
     alt = _alternating_terms(polys)
     nvars = polys[0].nvars
     for k in range(nvars):
@@ -434,7 +434,7 @@ def hilbert_numerator(B):
     t_k = 1 is divisibility by 1 - t_k); raises ExactDivisionError
     otherwise.
     """
-    polys = B.components if isinstance(B, BettiTuple) else list(B)
+    polys = _betti_polys(B)
     n = polys[0].nvars
     product = LaurentPoly.one(n)
     for k in range(1, n + 1):
@@ -498,8 +498,3 @@ def _equivariant_minors(e):
             raise AssertionError(f"minor for e={e}, i={i} is not single-signed")
         polys.append(quotient)
     return polys
-
-
-def koszul_diagram(n):
-    """The diagram for e = (1,...,1): multiplicity one at each 0/1 vector."""
-    return equivariant_diagram((1,) * n)

@@ -13,14 +13,7 @@ import argparse
 import json
 import sys
 
-from .betti import (
-    BettiDiagram,
-    NotPureError,
-    _mult_str,
-    _purity,
-    check_hk,
-    hilbert_numerator,
-)
+from .betti import BettiDiagram, NotPureError, _purity, check_hk, hilbert_numerator
 from .hkspace import (
     GeneratorError,
     MembershipReport,
@@ -28,8 +21,8 @@ from .hkspace import (
     find_generator,
     membership,
 )
-from .laurent import ExactDivisionError, format_poly, poly_to_json
-from .schur import schur_bialternant, schur_gcd_family, schur_polys, schur_ssyt
+from .laurent import ExactDivisionError, _format_coeff, format_poly, poly_to_json
+from .schur import schur_gcd_family, schur_polys
 
 
 def _ints(text):
@@ -52,7 +45,6 @@ def _build_parser():
     p.add_argument("--lambda", dest="lam", type=_ints, required=True,
                    metavar="L", help="partition, e.g. 4,2,1")
     p.add_argument("--nvars", type=int, required=True)
-    p.add_argument("--method", choices=("bialternant", "ssyt", "both"))
     fmt(p)
 
     p = sub.add_parser("equivariant", help="equivariant pure diagram for a gap vector")
@@ -99,17 +91,7 @@ def _emit(obj):
 
 
 def _cmd_schur(args):
-    if args.method == "bialternant":
-        poly = schur_bialternant(args.lam, args.nvars)
-    elif args.method == "ssyt":
-        poly = schur_ssyt(args.lam, args.nvars)
-    else:
-        [poly] = schur_polys([args.lam], args.nvars)
-        if args.method == "both" and not (
-                poly == schur_bialternant(args.lam, args.nvars)
-                == schur_ssyt(args.lam, args.nvars)):
-            raise AssertionError(
-                "branching rule, bialternant and tableau sums disagree")
+    [poly] = schur_polys([args.lam], args.nvars)
     if args.format == "json":
         _emit(poly_to_json(poly))
     else:
@@ -224,13 +206,13 @@ def _cmd_collapse(args):
         _emit({
             "nvars": diagram.nvars,
             "entries": [
-                {"i": i, "total_degree": d, "mult": _mult_str(m)}
+                {"i": i, "total_degree": d, "mult": _format_coeff(m)}
                 for (i, d), m in entries
             ],
         })
         return 0
     for (i, d), m in entries:
-        print(f"i={i}  degree={d}  mult={_mult_str(m)}")
+        print(f"i={i}  degree={d}  mult={_format_coeff(m)}")
     return 0
 
 

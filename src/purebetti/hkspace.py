@@ -15,7 +15,6 @@ lexicographically.  It is invariant under multiplying B by units.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,18 +116,21 @@ def _unit_normalized(B):
     return B.twist(shift), LaurentPoly.monomial(1, shift)
 
 
-def _check_reduction_inputs(A, B):
-    for T in (A, B):
+def _check_family(tuples):
+    """Require nonzero, pure HK tuples that share one gap vector (up to twist).
+
+    Tuples in different variable counts have gap vectors of different
+    lengths, so the last check covers a variable count mismatch too.
+    """
+    for T in tuples:
         if T.is_zero():
-            raise ValueError("reduction needs nonzero tuples")
+            raise ValueError("inputs must be nonzero")
         if not check_hk(T).passed:
-            raise ValueError("reduction needs tuples satisfying the HK equations")
+            raise ValueError("inputs must satisfy the HK equations")
         if not T.purity().is_pure:
-            raise ValueError("reduction needs pure tuples")
-    if A.nvars != B.nvars:
-        raise ValueError("variable count mismatch")
-    if A.purity().diffs != B.purity().diffs:
-        raise ValueError("tuples must share one gap vector (up to twist)")
+            raise ValueError("inputs must be pure")
+    if len({T.purity().diffs for T in tuples}) > 1:
+        raise ValueError("inputs must share one gap vector (up to twist)")
 
 
 def reduce_pair(A, B):
@@ -138,7 +140,7 @@ def reduce_pair(A, B):
     lex order.  Both inputs must be nonzero, satisfy the HK equations and
     share one gap vector up to twist.
     """
-    _check_reduction_inputs(A, B)
+    _check_family((A, B))
     p, q, C = _reduce(A, B)
     if not C.is_zero():
         if not valuation(C) < max(valuation(A), valuation(B)):
@@ -186,7 +188,7 @@ def descend(A, B):
     step must strictly lower the valuation of the working tuple; a
     violation raises ReductionError rather than looping.
     """
-    _check_reduction_inputs(A, B)
+    _check_family((A, B))
     return _descend(A, B)
 
 
@@ -290,16 +292,7 @@ def find_generator(inputs):
     inputs = list(inputs)
     if not inputs:
         raise ValueError("need at least one tuple")
-    for T in inputs:
-        if T.is_zero():
-            raise ValueError("inputs must be nonzero")
-        if not check_hk(T).passed:
-            raise ValueError("inputs must satisfy the HK equations")
-        if not T.purity().is_pure:
-            raise ValueError("inputs must be pure")
-    diffs = {T.purity().diffs for T in inputs}
-    if len(diffs) > 1:
-        raise ValueError("inputs must share one gap vector (up to twist)")
+    _check_family(inputs)
     order = sorted(range(len(inputs)), key=lambda i: (valuation(inputs[i]), i))
     survivor = inputs[order[0]]
     for idx in order[1:]:
@@ -345,9 +338,6 @@ class MembershipReport:
             "integral": self.integral,
             "reasons": list(self.reasons),
         }
-
-    def dumps(self, **kwargs):
-        return json.dumps(self.to_json(), **kwargs)
 
 
 def _peel_cofactor(b0, s0):

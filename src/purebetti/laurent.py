@@ -45,6 +45,14 @@ def _normalized(table):
             for e, c in table.items() if c}
 
 
+def _check_nvars(nvars):
+    """Reject a variable count that is not a nonnegative int (booleans excluded)."""
+    if type(nvars) is not int:
+        raise ValueError(f"variable count must be an integer, got {nvars!r}")
+    if nvars < 0:
+        raise ValueError("variable count must be nonnegative")
+
+
 def _is_int_vector(exp):
     """True when every entry of the tuple is an int (booleans excluded)."""
     return all(type(x) is int for x in exp)
@@ -67,8 +75,7 @@ class LaurentPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=()):
-        if nvars < 0:
-            raise ValueError("variable count must be nonnegative")
+        _check_nvars(nvars)
         items = terms.items() if isinstance(terms, Mapping) else terms
         table = {}
         for exp, c in items:
@@ -125,8 +132,8 @@ class LaurentPoly:
     @classmethod
     def variable(cls, i, nvars):
         """The variable t_i (1-based, matching the t1..tn naming)."""
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable index {i} out of range 1..{nvars}")
+        if type(i) is not int or not 1 <= i <= nvars:
+            raise ValueError(f"variable index {i!r} out of range 1..{nvars}")
         exp = tuple(1 if j == i - 1 else 0 for j in range(nvars))
         return cls(nvars, {exp: 1})
 
@@ -179,12 +186,6 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
         return max(e[i - 1] for e in self.terms)
-
-    def var_low(self, i):
-        """Smallest exponent of t_i (1-based) over the support (f != 0)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(e[i - 1] for e in self.terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -244,7 +245,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("only nonnegative integer powers are supported")
         result = LaurentPoly.one(self.nvars)
         for _ in range(k):
@@ -305,8 +306,8 @@ def frobenius(f, r):
 
 def set_var_one(f, k):
     """Substitute t_k = 1 (k is 1-based); the result lives in n-1 variables."""
-    if not 1 <= k <= f.nvars:
-        raise ValueError(f"variable index {k} out of range 1..{f.nvars}")
+    if type(k) is not int or not 1 <= k <= f.nvars:
+        raise ValueError(f"variable index {k!r} out of range 1..{f.nvars}")
     table = {}
     for exp, c in f.terms.items():
         cut = exp[:k - 1] + exp[k:]
@@ -321,24 +322,6 @@ def var_slice(f, d):
     return LaurentPoly._trusted(
         f.nvars - 1,
         {exp[1:]: c for exp, c in f.terms.items() if exp[0] == d})
-
-
-def leading_coeff(f):
-    """Coefficient polynomial of the highest power of t1, in t2..tn.
-
-    Writing f = t1^N * g + lower terms in t1, returns g.  Multiplicative
-    on products of nonzero polynomials.
-    """
-    if not f:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return var_slice(f, f.var_degree(1))
-
-
-def trailing_coeff(f):
-    """Coefficient polynomial of the lowest power of t1, in t2..tn."""
-    if not f:
-        raise ValueError("zero polynomial has no trailing coefficient")
-    return var_slice(f, f.var_low(1))
 
 
 def insert_variable(f, exp=0):
@@ -409,53 +392,12 @@ def exact_div(f, g):
     return q
 
 
-def divides(g, f):
-    """True when g divides f exactly in the Laurent ring."""
-    return _quo_or_none(f, g) is not None
-
-
 # -- units and canonical form ----------------------------------------------
 
 
-class Unit:
-    """A unit of the Laurent ring: a nonzero rational times a monomial."""
-
-    __slots__ = ("coeff", "exp")
-
-    def __init__(self, coeff, exp):
-        coeff = _norm_coeff(coeff)
-        if not coeff:
-            raise ValueError("unit coefficient must be nonzero")
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "exp", tuple(exp))
-
-    __setattr__ = __delattr__ = _frozen
-
-    def as_poly(self):
-        return LaurentPoly.monomial(self.coeff, self.exp)
-
-    def inverse(self):
-        return Unit(_coeff_div(1, self.coeff), tuple(-e for e in self.exp))
-
-    def __eq__(self, other):
-        if not isinstance(other, Unit):
-            return NotImplemented
-        return self.coeff == other.coeff and self.exp == other.exp
-
-    def __repr__(self):
-        return f"Unit({self.coeff}, {self.exp})"
-
-
 def is_unit(f):
+    """True when f is a unit of the Laurent ring: a single nonzero term."""
     return len(f.terms) == 1
-
-
-def as_unit(f):
-    """View a single-term polynomial as a Unit; raises ValueError otherwise."""
-    if not is_unit(f):
-        raise ValueError("polynomial is not a unit of the Laurent ring")
-    ((exp, c),) = f.terms.items()
-    return Unit(c, exp)
 
 
 def canonical(f):
@@ -482,13 +424,6 @@ def canonical(f):
     if result.terms[max(result.terms)] < 0:
         result = -result
     return result
-
-
-def unit_equal(f, g):
-    """True when f and g agree up to multiplication by a Laurent unit."""
-    if not f or not g:
-        return f.is_zero() and g.is_zero()
-    return canonical(f) == canonical(g)
 
 
 # -- multivariate gcd -------------------------------------------------------

@@ -14,6 +14,7 @@ from math import gcd as _int_gcd
 
 from .laurent import (
     LaurentPoly,
+    _check_nvars,
     det,
     exact_div,
     frobenius,
@@ -27,7 +28,7 @@ from .laurent import (
 def check_partition(lam):
     """Validate a weakly decreasing tuple of nonnegative integers."""
     lam = tuple(lam)
-    if any(not isinstance(p, int) for p in lam):
+    if any(type(p) is not int for p in lam):
         raise ValueError(f"partition {lam} must consist of integers")
     if any(p < 0 for p in lam):
         raise ValueError(f"partition {lam} has negative parts")
@@ -73,7 +74,7 @@ def check_difference_vector(e):
     e = tuple(e)
     if not e:
         raise ValueError("difference vector must be nonempty")
-    if any(not isinstance(v, int) or v < 1 for v in e):
+    if any(type(v) is not int or v < 1 for v in e):
         raise ValueError(f"difference vector {e} must consist of positive integers")
     return e
 
@@ -96,8 +97,8 @@ def term_partition(e, i):
     """
     e = check_difference_vector(e)
     n = len(e)
-    if not 0 <= i <= n:
-        raise ValueError(f"homological index {i} out of range 0..{n}")
+    if type(i) is not int or not 0 <= i <= n:
+        raise ValueError(f"homological index {i!r} out of range 0..{n}")
     base = [sum(v - 1 for v in e[j + 1:]) for j in range(n)]
     bumped = [base[j] + e[j] if j < i else base[j] for j in range(n)]
     return check_partition(tuple(bumped))
@@ -122,8 +123,7 @@ def schur_polys(partitions, n):
     interlaces and then released, so only the outputs and the tables in
     at most n-2 variables stay alive.
     """
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
+    _check_nvars(n)
     lams = [pad_partition(lam, n) for lam in partitions]
     if n == 0:
         return [LaurentPoly.one(0) for _ in lams]
@@ -237,13 +237,6 @@ def schur_ssyt(lam, n):
 
     fill(0)
     return LaurentPoly(n, table)
-
-
-def complete_homogeneous2(a):
-    """t1^(a-1) + t1^(a-2)*t2 + ... + t2^(a-1), the two-variable Schur s_(a-1,0)."""
-    if a < 1:
-        raise ValueError("need a positive integer")
-    return LaurentPoly(2, {(a - 1 - k, k): 1 for k in range(a)})
 
 
 def schur_gcd_family(e):

@@ -1,12 +1,28 @@
-"""Shared builders for randomized test data."""
+"""Shared builders for randomized test data, and one-line views of the library."""
 
 from fractions import Fraction
 
 from purebetti import LaurentPoly, canonical_generator, parse_poly
+from purebetti.laurent import _quo_or_none, var_slice
 
 
 def P(text, nvars=2):
     return parse_poly(text, nvars)
+
+
+def divides(g, f):
+    """True when g divides f exactly in the Laurent ring."""
+    return _quo_or_none(f, g) is not None
+
+
+def top_slice(f):
+    """Coefficient of the highest power of t1 in f != 0, in t2..tn."""
+    return var_slice(f, f.var_degree(1))
+
+
+def bottom_slice(f):
+    """Coefficient of the lowest power of t1 in f != 0, in t2..tn."""
+    return var_slice(f, f.min_exponents()[0])
 
 
 def rand_coeff(rng, allow_fraction=False):

@@ -13,21 +13,19 @@ from purebetti.betti import (
     equivariant_diagram,
     equivariant_tuple,
     hilbert_numerator,
-    koszul_diagram,
 )
 from purebetti.laurent import (
     ExactDivisionError,
     LaurentPoly,
     frobenius,
     is_symmetric,
-    leading_coeff,
     lex_leading,
     parse_poly,
     set_var_one,
 )
 from purebetti.schur import schur_bialternant, term_partition
 
-from helpers import P, rand_coeff, rand_hom_poly
+from helpers import P, rand_coeff, rand_hom_poly, top_slice
 
 
 def weyl_dimension(lam):
@@ -106,7 +104,7 @@ class TestEquivariantDiagram:
             schur_bialternant(term_partition((2, 3), i), 2) for i in range(3))
 
     def test_koszul(self):
-        d = koszul_diagram(3)
+        d = equivariant_diagram((1,) * 3)
         for (i, a), m in d.entries.items():
             assert m == 1
             assert set(a) <= {0, 1} and sum(a) == i
@@ -188,7 +186,7 @@ class TestFrobenius:
         assert d.frobenius(1) == d
 
     def test_koszul_profile_scales(self):
-        d = koszul_diagram(2).frobenius(2)
+        d = equivariant_diagram((1,) * 2).frobenius(2)
         assert d.purity().degrees == (0, 2, 4)
         assert d.purity().diffs == (2, 2)
 
@@ -200,7 +198,7 @@ class TestFrobenius:
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            koszul_diagram(2).frobenius(0)
+            equivariant_diagram((1,) * 2).frobenius(0)
 
 
 class TestCollapse:
@@ -316,7 +314,13 @@ class TestHerzogKuhl:
 class TestHilbertNumerator:
     def test_koszul_residue_field(self):
         for n in (1, 2, 3):
-            assert hilbert_numerator(koszul_diagram(n).to_tuple()) == LaurentPoly.one(n)
+            assert hilbert_numerator(equivariant_tuple((1,) * n)) == LaurentPoly.one(n)
+
+    def test_empty_input_rejected(self):
+        # one entry check for both: an empty sequence has no variable count
+        for fn in (check_hk, hilbert_numerator):
+            with pytest.raises(ValueError, match="at least one Betti polynomial"):
+                fn([])
 
     def test_gap_two_three_value(self):
         h = hilbert_numerator(equivariant_tuple((2, 3)))
@@ -361,7 +365,7 @@ class TestTopSliceAlignment:
                 top0 = B[0].var_degree(1)
                 for i in range(1, len(e) + 1):
                     assert B[i].var_degree(1) == top0 + e[0]
-                assert leading_coeff(B[1]) == leading_coeff(B[0])
+                assert top_slice(B[1]) == top_slice(B[0])
 
 
 class TestInterchange:

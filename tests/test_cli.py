@@ -9,7 +9,8 @@ import pytest
 import purebetti.hkspace as hkspace_module
 from purebetti.betti import BettiDiagram, equivariant_diagram, equivariant_tuple
 from purebetti.cli import main
-from purebetti.laurent import poly_from_json
+from purebetti.laurent import format_poly, poly_from_json
+from purebetti.schur import schur_bialternant, schur_ssyt
 
 from helpers import P
 
@@ -34,16 +35,19 @@ class TestSchurCommand:
         assert code == 0 and out == "1\n"
 
     def test_methods_agree(self, capsys):
-        code, out = run_cli(capsys, "schur", "--lambda", "4,2,1", "--nvars", "3",
-                            "--method", "both")
+        # the command computes by the branching rule; both oracles agree
+        code, out = run_cli(capsys, "schur", "--lambda", "4,2,1", "--nvars", "3")
         assert code == 0
-        code2, out2 = run_cli(capsys, "schur", "--lambda", "4,2,1", "--nvars", "3",
-                              "--method", "ssyt")
-        assert code2 == 0 and out == out2
-        code3, out3 = run_cli(capsys, "schur", "--lambda", "4,2,1", "--nvars", "3")
-        code4, out4 = run_cli(capsys, "schur", "--lambda", "4,2,1", "--nvars", "3",
-                              "--method", "bialternant")
-        assert code3 == code4 == 0 and out3 == out4 == out
+        assert out == format_poly(schur_bialternant((4, 2, 1), 3)) + "\n"
+        assert out == format_poly(schur_ssyt((4, 2, 1), 3)) + "\n"
+
+    def test_no_method_option(self, capsys):
+        # the oracles are not reachable from the command line
+        assert main(["schur", "--lambda", "4,2,1", "--nvars", "3",
+                     "--method", "both"]) == 2
+        for argv in (["--help"], ["schur", "--help"]):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0 and "usage:" in out and "--method" not in out
 
     def test_json_round_trip(self, capsys):
         code, out = run_cli(capsys, "schur", "--lambda", "2,1", "--nvars", "2",
@@ -195,10 +199,8 @@ class TestCollapseAndHilbert:
         )
 
     def test_hilbert_table(self, capsys, tmp_path):
-        from purebetti.betti import koszul_diagram
-
         path = tmp_path / "koszul.json"
-        path.write_text(koszul_diagram(2).dumps())
+        path.write_text(equivariant_diagram((1, 1)).dumps())
         code, out = run_cli(capsys, "hilbert", "--in", str(path))
         assert code == 0 and out == "1\n"
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import purebetti
 import purebetti.betti as betti_module
 import purebetti.cli as cli_module
 import purebetti.hkspace as hkspace_module
@@ -202,6 +203,10 @@ class TestReducePair:
             reduce_pair(gen, broken)
         with pytest.raises(ValueError):
             reduce_pair(gen, canonical_generator((2, 2)))
+        # a variable count mismatch is a gap vector of another length
+        for fn in (reduce_pair, descend):
+            with pytest.raises(ValueError, match="share one gap vector"):
+                fn(gen, canonical_generator((2, 3, 4)))
 
 
 class TestDescend:
@@ -312,9 +317,7 @@ class TestMembership:
         assert report.cofactor == LaurentPoly.constant(Fraction(1, 2), 2)
 
     def test_hk_failure_reported(self):
-        from purebetti.betti import koszul_diagram
-
-        doubled = koszul_diagram(2) + BettiDiagram(2, {(0, (0, 0)): 1})
+        doubled = equivariant_diagram((1, 1)) + BettiDiagram(2, {(0, (0, 0)): 1})
         report = membership(doubled.to_tuple(), (1, 1))
         assert not report.in_space
         assert any("HK" in reason for reason in report.reasons)
@@ -426,12 +429,17 @@ def test_request_path_never_calls_the_oracles(monkeypatch, tmp_path, capsys):
     def oracle(*args):
         raise RuntimeError("a test oracle ran on the request path")
 
-    monkeypatch.setattr(betti_module, "_equivariant_minors", oracle)
-    monkeypatch.setattr(hkspace_module, "_peel_cofactor", oracle)
-    for module in (schur_module, cli_module):
-        monkeypatch.setattr(module, "schur_bialternant", oracle)
-    for module in (laurent_module, schur_module, betti_module):
-        monkeypatch.setattr(module, "det", oracle)
+    oracles = (laurent_module.det, schur_module.schur_bialternant,
+               schur_module.schur_ssyt, schur_module.schur_family_gcd_bruteforce,
+               betti_module._equivariant_minors, hkspace_module._peel_cofactor)
+    patched = set()
+    for module in (purebetti, laurent_module, schur_module, betti_module,
+                   hkspace_module, cli_module):
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in oracles):
+                monkeypatch.setattr(module, name, oracle)
+                patched.add(value)
+    assert len(patched) == len(oracles)
     assert equivariant_diagram((2, 3)) == equivariant_tuple((2, 3)).to_diagram()
     gen = canonical_generator((2, 4))
     member = P("t1^2 - t1*t2 + t2^2") * gen
@@ -444,3 +452,17 @@ def test_request_path_never_calls_the_oracles(monkeypatch, tmp_path, capsys):
         "in_space: yes\ncofactor: t1^2 - t1*t2 + t2^2\nintegral: yes\n")
     assert cli_main(["schur", "--lambda", "2,1", "--nvars", "2"]) == 0
     assert capsys.readouterr().out == "t1^2*t2 + t1*t2^2\n"
+    generator_path = tmp_path / "generator.json"
+    generator_path.write_text(gen.to_diagram().dumps())
+    commands = {
+        "equivariant": ["--e", "2,4"],
+        "check": ["--in", str(path)],
+        "gcd-schur": ["--e", "2,4"],
+        "generator": ["--in", str(path), str(generator_path)],
+        "collapse": ["--in", str(path)],
+        "hilbert": ["--in", str(path)],
+    }
+    assert set(commands) | {"decompose", "schur"} == set(cli_module._HANDLERS)
+    for command, args in commands.items():
+        for fmt in ("table", "json"):
+            assert cli_main([command, *args, "--format", fmt]) == 0, command

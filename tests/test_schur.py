@@ -6,32 +6,29 @@ import pytest
 import purebetti.schur as schur_module
 from purebetti.laurent import (
     LaurentPoly,
-    divides,
+    canonical,
     frobenius,
     gcd,
     is_symmetric,
     lex_leading,
     parse_poly,
-    trailing_coeff,
-    leading_coeff,
-    unit_equal,
 )
 from purebetti.schur import (
     check_difference_vector,
     check_partition,
-    complete_homogeneous2,
     frobenius_split,
     pad_partition,
     partitions,
     schur_bialternant,
     schur_family_gcd_bruteforce,
     schur_gcd_family,
+    schur_polys,
     schur_ssyt,
     staircase,
     term_partition,
 )
 
-from helpers import P
+from helpers import P, bottom_slice, divides, top_slice
 
 
 def embed_pair(f, i, j, n):
@@ -43,6 +40,11 @@ def embed_pair(f, i, j, n):
         exp[j - 1] = b
         table[tuple(exp)] = c
     return LaurentPoly(n, table)
+
+
+def complete_homogeneous2(a):
+    """t1^(a-1) + t1^(a-2)*t2 + ... + t2^(a-1), by its closed form."""
+    return LaurentPoly(2, {(a - 1 - k, k): 1 for k in range(a)})
 
 
 class TestPartitions:
@@ -176,30 +178,28 @@ class TestSchurPolynomials:
             n = rng.randint(2, 4)
             lam = pad_partition(rng.choice(list(partitions(rng.randint(1, 6), n))), n)
             f = schur_bialternant(lam, n)
-            assert leading_coeff(f) == schur_bialternant(lam[1:], n - 1)
+            assert top_slice(f) == schur_bialternant(lam[1:], n - 1)
             lam_low = tuple(p - lam[-1] for p in lam[:-1])
             shift = LaurentPoly.monomial(1, (lam[-1],) * (n - 1))
-            assert trailing_coeff(f) == shift * schur_bialternant(lam_low, n - 1)
+            assert bottom_slice(f) == shift * schur_bialternant(lam_low, n - 1)
 
     def test_slices_of_421(self):
         f = schur_bialternant((4, 2, 1), 3)
-        assert leading_coeff(f) == schur_bialternant((2, 1), 2)
-        assert trailing_coeff(f) == P("t1*t2") * schur_bialternant((3, 1), 2)
+        assert top_slice(f) == schur_bialternant((2, 1), 2)
+        assert bottom_slice(f) == P("t1*t2") * schur_bialternant((3, 1), 2)
 
 
 class TestCompleteHomogeneous:
     def test_values(self):
-        assert complete_homogeneous2(1) == LaurentPoly.one(2)
+        # the one-row Schur polynomial s_(a-1) in two variables is h_(a-1)
         assert complete_homogeneous2(3) == P("t1^2 + t1*t2 + t2^2")
+        assert schur_polys([(a - 1,) for a in range(1, 8)], 2) == [
+            complete_homogeneous2(a) for a in range(1, 8)]
         assert complete_homogeneous2(4) == schur_bialternant((3, 0), 2)
 
     def test_coprime_when_orders_are(self):
         assert gcd(complete_homogeneous2(2), complete_homogeneous2(3)) == LaurentPoly.one(2)
         assert gcd(complete_homogeneous2(4), complete_homogeneous2(6)) == complete_homogeneous2(2)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            complete_homogeneous2(0)
 
 
 class TestFamilyGcd:
@@ -215,7 +215,7 @@ class TestFamilyGcd:
         assert r == 2 and g == P("t1 + t2")
         assert cof == [frobenius(schur_bialternant(lam, 2), 2)
                        for lam in [(0, 0), (1, 0), (1, 1)]]
-        assert unit_equal(schur_family_gcd_bruteforce((2, 2)), g)
+        assert canonical(schur_family_gcd_bruteforce((2, 2))) == canonical(g)
 
     def test_constant_gap_staircase_product(self):
         for n, r in ((2, 3), (3, 2), (3, 3)):
@@ -255,7 +255,7 @@ class TestFamilyGcd:
     def test_brute_force_matches(self):
         for e in [(3, 3), (4, 2), (2, 4, 2), (3, 3, 3), (2, 3, 4)]:
             r, g, _ = schur_gcd_family(e)
-            assert unit_equal(schur_family_gcd_bruteforce(e), g)
+            assert canonical(schur_family_gcd_bruteforce(e)) == canonical(g)
 
 
 class TestStaircaseFactorizations:

@@ -14,14 +14,20 @@ import pytest
 from purebetti.betti import BettiDiagram, equivariant_diagram, equivariant_tuple
 from purebetti.laurent import (
     LaurentPoly,
-    Unit,
     _json_coeff,
     _quo_or_none,
     frobenius,
     insert_variable,
+    set_var_one,
     var_slice,
 )
-from purebetti.schur import partitions, schur_polys
+from purebetti.schur import (
+    check_difference_vector,
+    check_partition,
+    partitions,
+    schur_polys,
+    term_partition,
+)
 
 from helpers import rand_hom_poly, rand_poly
 
@@ -168,6 +174,39 @@ class TestBooleansRejected:
         with pytest.raises(ValueError):
             BettiDiagram(1, [((0, (1.5,)), 1)])
 
+    @pytest.mark.parametrize("call", [
+        lambda: check_difference_vector((True, 2)),
+        lambda: check_difference_vector((2, 1.0)),
+        lambda: check_partition((2, True)),
+        lambda: check_partition((2.0, 1)),
+        lambda: equivariant_diagram((2, 3)).twist((True, 0)),
+        lambda: equivariant_diagram((2, 3)).twist((0.5, 0)),
+        lambda: equivariant_tuple((2, 3)).twist((True, 0)),
+        lambda: equivariant_diagram((2, 3)).frobenius(True),
+        lambda: equivariant_diagram((2, 3)).frobenius(2.0),
+        lambda: equivariant_tuple((2, 3)).frobenius(True),
+        lambda: LaurentPoly(True, {(1,): 1}),
+        lambda: LaurentPoly(2.0),
+        lambda: BettiDiagram(1.0, {(0, (1,)): 1}),
+        lambda: BettiDiagram(True),
+        lambda: schur_polys([(1,)], True),
+        lambda: term_partition((2, 3), True),
+        lambda: LaurentPoly.variable(True, 2),
+        lambda: set_var_one(LaurentPoly.one(2), True),
+        lambda: LaurentPoly.one(2) ** True,
+    ], ids=[
+        "gap-bool", "gap-float", "partition-bool", "partition-float",
+        "diagram-twist-bool", "diagram-twist-float", "tuple-twist-bool",
+        "diagram-frobenius-bool", "diagram-frobenius-float", "tuple-frobenius-bool",
+        "poly-nvars-bool", "poly-nvars-float", "diagram-nvars-float",
+        "diagram-nvars-bool", "schur-nvars-bool", "term-index-bool",
+        "variable-index-bool", "set-var-one-bool", "power-bool",
+    ])
+    def test_non_int_values(self, call):
+        # type(x) is int: bools and floats are refused wherever an integer is due
+        with pytest.raises(ValueError):
+            call()
+
 
 class TestImmutable:
     def test_polynomial(self):
@@ -194,8 +233,3 @@ class TestImmutable:
                 setattr(value, attr, None)
         assert d == equivariant_diagram((2, 3))
         assert B == equivariant_tuple((2, 3))
-
-    def test_unit(self):
-        u = Unit(2, (1, 0))
-        with pytest.raises(AttributeError):
-            u.coeff = 3
