@@ -17,20 +17,16 @@ from .laurent import (
     gcd,
     gcd_list,
     insert_variable,
-    is_symmetric,
-    is_unit,
     lex_leading,
     parse_poly,
     poly_from_json,
     poly_to_json,
-    set_var_one,
 )
 from .schur import (
     check_difference_vector,
     check_partition,
     frobenius_split,
     pad_partition,
-    partitions,
     schur_gcd_family,
     schur_polys,
     staircase,

@@ -4,12 +4,13 @@ A diagram stores rational multiplicities indexed by homological degree i
 and multidegree a; slice i is equivalently encoded by its Betti polynomial
 sum_a beta_{i,a} t^a.  Diagrams of actual resolutions have nonnegative
 integer entries, but rational entries of either sign are allowed so that
-arbitrary elements of the linear span share the same type.
+arbitrary elements of the linear span can be read and written.  The
+linear-space arithmetic (sums, multiples, twists, Frobenius rescaling)
+lives on BettiTuple; BettiDiagram is the interchange format.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,7 +101,11 @@ def _purity(polys):
 
 
 class BettiTuple:
-    """An (n+1)-tuple of homogeneous Betti polynomials in n variables."""
+    """An (n+1)-tuple of homogeneous Betti polynomials in n variables.
+
+    A vector of the HK space: sums, differences, multiples by scalars and
+    Laurent polynomials, twists and Frobenius rescaling act componentwise.
+    """
 
     __slots__ = ("nvars", "components", "degrees")
 
@@ -174,9 +179,6 @@ class BettiTuple:
     def frobenius(self, r):
         return BettiTuple(tuple(frobenius(f, r) for f in self.components))
 
-    def alternating_sum(self):
-        return LaurentPoly(self.nvars, _alternating_terms(self.components))
-
     def purity(self):
         return _profile_from_degrees(self.degrees)
 
@@ -188,7 +190,11 @@ class BettiTuple:
 
 
 class BettiDiagram:
-    """Map (homological index, multidegree) -> rational multiplicity."""
+    """Map (homological index, multidegree) -> rational multiplicity.
+
+    The checked interchange form of a diagram (JSON, tables, collapse);
+    to_tuple gives the BettiTuple that does the arithmetic.
+    """
 
     __slots__ = ("nvars", "entries")
 
@@ -232,55 +238,11 @@ class BettiDiagram:
     def __repr__(self):
         return f"BettiDiagram(nvars={self.nvars}, entries={len(self.entries)})"
 
-    def multiplicity(self, i, exp):
-        return self.entries.get((i, tuple(exp)), 0)
-
-    def __add__(self, other):
-        if not isinstance(other, BettiDiagram):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        table = self.entries.copy()
-        for key, mult in other.entries.items():
-            table[key] = table.get(key, 0) + mult
-        return BettiDiagram(self.nvars, table)
-
-    def __sub__(self, other):
-        if not isinstance(other, BettiDiagram):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        table = self.entries.copy()
-        for key, mult in other.entries.items():
-            table[key] = table.get(key, 0) - mult
-        return BettiDiagram(self.nvars, table)
-
     def __rmul__(self, c):
         if not isinstance(c, (int, Fraction)):
             return NotImplemented
         return BettiDiagram(
             self.nvars, {key: c * m for key, m in self.entries.items()})
-
-    def twist(self, exp):
-        """Shift every multidegree by exp (t^exp on Betti polynomials)."""
-        exp = tuple(exp)
-        if len(exp) != self.nvars:
-            raise ValueError("twist vector has wrong length")
-        if not _is_int_vector(exp):
-            raise ValueError(f"twist vector {exp} must consist of integers")
-        return BettiDiagram(
-            self.nvars,
-            {(i, tuple(x + y for x, y in zip(a, exp))): m
-             for (i, a), m in self.entries.items()})
-
-    def frobenius(self, r):
-        """Scale every multidegree by r; a pure profile d becomes r*d."""
-        if type(r) is not int or r < 1:
-            raise ValueError("frobenius exponent must be a positive integer")
-        return BettiDiagram(
-            self.nvars,
-            {(i, tuple(r * x for x in a)): m
-             for (i, a), m in self.entries.items()})
 
     def betti_polynomials(self):
         """Betti polynomials B_i = sum_a beta_{i,a} t^a for i = 0..n."""
@@ -311,12 +273,6 @@ class BettiDiagram:
         if profile.witness is not None:
             raise NotPureError(profile.witness)
         return BettiTuple(polys)
-
-    def is_integral(self):
-        return all(m.denominator == 1 for m in self.entries.values())
-
-    def is_nonnegative(self):
-        return all(m > 0 for m in self.entries.values())
 
     # -- interchange formats ------------------------------------------------
 
@@ -349,9 +305,6 @@ class BettiDiagram:
             _add_entry(table, nvars, _json_int(i, "'i'"),
                        _json_ints(deg, "'deg'"), _json_coeff(mult))
         return cls._trusted(nvars, table)
-
-    def dumps(self, **kwargs):
-        return json.dumps(self.to_json(), **kwargs)
 
     def format_table(self):
         """Group by homological index, multidegrees in descending lex order."""

@@ -13,7 +13,14 @@ import argparse
 import json
 import sys
 
-from .betti import BettiDiagram, NotPureError, _purity, check_hk, hilbert_numerator
+from .betti import (
+    BettiDiagram,
+    NotPureError,
+    _purity,
+    check_hk,
+    equivariant_tuple,
+    hilbert_numerator,
+)
 from .hkspace import (
     GeneratorError,
     MembershipReport,
@@ -100,17 +107,17 @@ def _cmd_schur(args):
 
 
 def _cmd_equivariant(args):
-    from .betti import equivariant_diagram
-
-    diagram = equivariant_diagram(args.e)
+    tup = equivariant_tuple(args.e)
     if args.twist is not None:
-        diagram = diagram.twist(args.twist)
+        if len(args.twist) != len(args.e):
+            raise ValueError("twist vector has wrong length")
+        tup = tup.twist(args.twist)
+    diagram = tup.to_diagram()
     if args.format == "json":
         _emit(diagram.to_json())
     else:
-        profile = diagram.purity()
         print(f"e = {','.join(str(v) for v in args.e)}  "
-              f"degrees = {','.join(str(d) for d in profile.degrees)}")
+              f"degrees = {','.join(str(d) for d in tup.degrees)}")
         print(diagram.format_table())
     return 0
 

@@ -329,7 +329,6 @@ class MembershipReport:
     cofactor: LaurentPoly | None
     integral: bool
     reasons: tuple = ()
-    generator: BettiTuple | None = None
 
     def to_json(self):
         return {
@@ -364,10 +363,11 @@ def _peel_cofactor(b0, s0):
 def membership(B, e):
     """Decide B = p * s against the canonical generator s for gap vector e.
 
-    Membership needs the purity gaps of B to equal e, the HK equations to
-    hold, and the exact division to succeed.  The cofactor is computed once,
-    by decompose; the integral flag states whether it has integer
-    coefficients.
+    The zero tuple is the zero vector of every HK space: it is a member
+    with cofactor 0 for any e.  Otherwise membership needs the purity gaps
+    of B to equal e, the HK equations to hold, and the exact division to
+    succeed.  The cofactor is computed once, by decompose; the integral
+    flag states whether it has integer coefficients.
     """
     e = check_difference_vector(e)
     if B.nvars != len(e):
@@ -376,6 +376,8 @@ def membership(B, e):
     gen = canonical_generator(e)
     reasons = []
     profile = B.purity()
+    if profile.is_zero:
+        return MembershipReport(True, LaurentPoly.zero(B.nvars), True)
     if not profile.is_pure:
         reasons.append(f"tuple is not pure: {profile.witness}")
     elif profile.diffs != e:
@@ -390,6 +392,6 @@ def membership(B, e):
         except NotMultipleError:
             reasons.append("not a Laurent multiple of the generator")
     if reasons:
-        return MembershipReport(False, None, False, tuple(reasons), gen)
+        return MembershipReport(False, None, False, tuple(reasons))
     integral = all(c.denominator == 1 for c in cofactor.terms.values())
-    return MembershipReport(True, cofactor, integral, (), gen)
+    return MembershipReport(True, cofactor, integral)

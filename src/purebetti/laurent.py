@@ -183,6 +183,8 @@ class LaurentPoly:
 
     def var_degree(self, i):
         """Largest exponent of t_i (1-based) over the support (f != 0)."""
+        if type(i) is not int or not 1 <= i <= self.nvars:
+            raise ValueError(f"variable index {i!r} out of range 1..{self.nvars}")
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
         return max(e[i - 1] for e in self.terms)
@@ -264,19 +266,6 @@ class LaurentPoly:
             {tuple(a + b for a, b in zip(e, exp)): c
              for e, c in self.terms.items()})
 
-    def evaluate(self, values):
-        """Exact evaluation at a rational point (nonzero where exponents are negative)."""
-        values = [Fraction(v) for v in values]
-        if len(values) != self.nvars:
-            raise ValueError("wrong number of values")
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            term = Fraction(c)
-            for v, e in zip(values, exp):
-                term *= v ** e
-            total += term
-        return _norm_coeff(total)
-
     def __str__(self):
         return format_poly(self)
 
@@ -304,17 +293,6 @@ def frobenius(f, r):
         {tuple(r * e for e in exp): c for exp, c in f.terms.items()})
 
 
-def set_var_one(f, k):
-    """Substitute t_k = 1 (k is 1-based); the result lives in n-1 variables."""
-    if type(k) is not int or not 1 <= k <= f.nvars:
-        raise ValueError(f"variable index {k!r} out of range 1..{f.nvars}")
-    table = {}
-    for exp, c in f.terms.items():
-        cut = exp[:k - 1] + exp[k:]
-        table[cut] = table.get(cut, 0) + c
-    return LaurentPoly(f.nvars - 1, table)
-
-
 def var_slice(f, d):
     """Coefficient of t1^d as a polynomial in t2..tn (may be zero)."""
     if f.nvars < 1:
@@ -330,17 +308,6 @@ def insert_variable(f, exp=0):
         raise ValueError(f"exponent {exp!r} must be an integer")
     return LaurentPoly._trusted(
         f.nvars + 1, {(exp,) + e: c for e, c in f.terms.items()})
-
-
-def is_symmetric(f):
-    """True when f is invariant under all adjacent variable swaps."""
-    for i in range(f.nvars - 1):
-        for exp, c in f.terms.items():
-            swapped = list(exp)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if f.terms.get(tuple(swapped), 0) != c:
-                return False
-    return True
 
 
 # -- exact division --------------------------------------------------------
@@ -393,11 +360,6 @@ def exact_div(f, g):
 
 
 # -- units and canonical form ----------------------------------------------
-
-
-def is_unit(f):
-    """True when f is a unit of the Laurent ring: a single nonzero term."""
-    return len(f.terms) == 1
 
 
 def canonical(f):

@@ -52,20 +52,6 @@ def staircase(n):
     return tuple(range(n - 1, -1, -1))
 
 
-def partitions(size, max_parts):
-    """All partitions of the given size into at most max_parts parts."""
-    def rec(remaining, parts_left, bound):
-        if remaining == 0:
-            yield ()
-            return
-        if parts_left == 0:
-            return
-        for first in range(min(remaining, bound), 0, -1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-    yield from rec(size, max_parts, size)
-
-
 # -- difference vectors ------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Shared builders for randomized test data, and one-line views of the library."""
+"""Test data builders, reference helpers and one-line views of the library."""
 
 from fractions import Fraction
 
@@ -23,6 +23,45 @@ def top_slice(f):
 def bottom_slice(f):
     """Coefficient of the lowest power of t1 in f != 0, in t2..tn."""
     return var_slice(f, f.min_exponents()[0])
+
+
+def set_var_one(f, k):
+    """Substitute t_k = 1 (k is 1-based); the result lives in n-1 variables.
+
+    The reference projection that check_hk is tested against.
+    """
+    if type(k) is not int or not 1 <= k <= f.nvars:
+        raise ValueError(f"variable index {k!r} out of range 1..{f.nvars}")
+    table = {}
+    for exp, c in f.terms.items():
+        cut = exp[:k - 1] + exp[k:]
+        table[cut] = table.get(cut, 0) + c
+    return LaurentPoly(f.nvars - 1, table)
+
+
+def is_symmetric(f):
+    """True when f is invariant under all adjacent variable swaps."""
+    for i in range(f.nvars - 1):
+        for exp, c in f.terms.items():
+            swapped = list(exp)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            if f.terms.get(tuple(swapped), 0) != c:
+                return False
+    return True
+
+
+def partitions(size, max_parts):
+    """All partitions of the given size into at most max_parts parts."""
+    def rec(remaining, parts_left, bound):
+        if remaining == 0:
+            yield ()
+            return
+        if parts_left == 0:
+            return
+        for first in range(min(remaining, bound), 0, -1):
+            for rest in rec(remaining - first, parts_left - 1, first):
+                yield (first,) + rest
+    yield from rec(size, max_parts, size)
 
 
 def rand_coeff(rng, allow_fraction=False):

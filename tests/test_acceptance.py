@@ -6,8 +6,10 @@ report.  Everything runs with exact rational arithmetic; there are no
 numeric tolerances anywhere.
 """
 
+import heapq
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,7 +41,6 @@ from purebetti.laurent import (
 )
 from purebetti.schur import (
     frobenius_split,
-    partitions,
     schur_bialternant,
     schur_family_gcd_bruteforce,
     schur_gcd_family,
@@ -49,7 +50,7 @@ from purebetti.schur import (
     term_partition,
 )
 
-from helpers import bottom_slice, rand_hom_poly, rand_unit, top_slice
+from helpers import bottom_slice, partitions, rand_hom_poly, rand_unit, top_slice
 
 
 def small_gap_vectors():
@@ -91,9 +92,9 @@ def test_criterion_2_decomposition_of_the_companion_resolution():
     assert report.cofactor == cofactor
     with pytest.raises(NotMultipleError):
         decompose(base, companion)
-    b1 = base.to_diagram()
-    b2 = companion.to_diagram()
-    assert b2 == b1.twist((2, 0)) - b1.twist((1, 1)) + b1.twist((0, 2))
+    combination = base.twist((2, 0)) - base.twist((1, 1)) + base.twist((0, 2))
+    assert companion == combination
+    assert companion.to_diagram() == combination.to_diagram()
     _report(2, "companion diagram = cofactor * generator, reverse fails, "
                "twist identity holds entrywise")
 
@@ -106,7 +107,7 @@ def test_criterion_3_schur_oracle_equivalence():
             assert f == schur_bialternant(lam, n) == schur_ssyt(lam, n), lam
             checked += 1
     [f] = schur_polys([(4, 2, 1)], 3)
-    assert f.evaluate([1, 1, 1]) == 15
+    assert sum(f.terms.values()) == 15
     assert lex_leading(f) == ((4, 2, 1), 1)
     assert top_slice(f) == schur_bialternant((2, 1), 2)
     assert bottom_slice(f) == (
@@ -215,7 +216,7 @@ def test_criterion_8_collapse_is_integer_multiple():
         gen = canonical_generator(e)
         p = rand_hom_poly(rng, n, max_terms=4, allow_fraction=False)
         member = p * gen
-        multiplier = p.evaluate([1] * n)
+        multiplier = sum(p.terms.values())
         assert isinstance(multiplier, int)
         twist = (p.degree(),) + (0,) * (n - 1)
         reference = gen.twist(twist).to_diagram().collapse_total()
@@ -246,3 +247,111 @@ def test_criterion_9_hilbert_numerator():
                 hilbert_numerator(polys)
     _report(9, "Hilbert numerators of equivariant diagrams have nonnegative "
                "integer coefficients; divisibility fails exactly with HK")
+
+
+def _box_monomials(n, degree, M):
+    """Exponent vectors in [0, M]^n of the given total degree."""
+    if n == 0:
+        return [()] if degree == 0 else []
+    return [(a,) + rest for a in range(min(degree, M) + 1)
+            for rest in _box_monomials(n - 1, degree - a, M)]
+
+
+def _rank(rows):
+    """Rank over Q of sparse rows {column: coefficient}, by exact elimination.
+
+    Markowitz order: the shortest remaining row is eliminated next, on its
+    column with the fewest entries, which keeps the HK systems sparse.
+    """
+    rows = [dict(row) for row in rows]
+    cols = {}
+    for r, row in enumerate(rows):
+        for v in row:
+            cols.setdefault(v, set()).add(r)
+    heap = [(len(row), r) for r, row in enumerate(rows)]
+    heapq.heapify(heap)
+    done = set()
+    rank = 0
+    while heap:
+        size, r = heapq.heappop(heap)
+        row = rows[r]
+        # every change to a row pushes its new length, so a stale entry is skipped
+        if r in done or size != len(row):
+            continue
+        done.add(r)
+        if not row:
+            continue
+        rank += 1
+        v = min(row, key=lambda w: (len(cols[w]), w))
+        for w in row:
+            cols[w].discard(r)
+        for r2 in list(cols[v]):
+            other = rows[r2]
+            factor = Fraction(other[v]) / row[v]
+            for w, x in row.items():
+                y = other.get(w, 0) - factor * x
+                if y:
+                    if w not in other:
+                        cols[w].add(r2)
+                    other[w] = y
+                else:
+                    del other[w]
+                    cols[w].discard(r2)
+            heapq.heappush(heap, (len(other), r2))
+    return rank
+
+
+def _hk_dimension(degrees, M):
+    """Dimension of the tuples with B_i of total degree degrees[i] in [0, M]^n
+    that satisfy the HK equations: unknowns minus the rank of the equations."""
+    n = len(degrees) - 1
+    unknowns = [(i, exp) for i, d in enumerate(degrees)
+                for exp in _box_monomials(n, d, M)]
+    rows = []
+    for k in range(n):
+        # the alternating sum at t_{k+1} = 1: one equation per remaining exponent
+        equations = {}
+        for i, exp in unknowns:
+            equations.setdefault(exp[:k] + exp[k + 1:], {})[(i, exp)] = (-1) ** i
+        rows.extend(equations.values())
+    return len(unknowns) - _rank(rows)
+
+
+def _fitting_twists(gen, s, M):
+    """The a with |a| = s for which t^a * gen lies in [0, M]^n."""
+    n = gen.nvars
+    lo = [min(f.min_exponents()[j] for f in gen) for j in range(n)]
+    hi = [max(f.var_degree(j + 1) for f in gen) for j in range(n)]
+    ranges = [range(-lo[j], M - hi[j] + 1) for j in range(n)]
+    return [a for a in itertools.product(*ranges) if sum(a) == s]
+
+
+def test_criterion_10_twists_of_the_generator_are_a_basis():
+    # the paper's theorem, slice by slice: in the box [0, M]^n and at total-
+    # degree shift s, the pure HK tuples of type e are spanned by the twists
+    # t^a * generator (|a| = s) that fit the box, and those twists are
+    # independent (distinct lex-leading terms)
+    cases = []
+    for e in [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 2, 2), (2, 3, 4), (3, 4, 5),
+              (1, 1, 1, 1), (1, 1, 1, 2)]:
+        gen = canonical_generator(e)
+        M = max(f.var_degree(j) for f in gen for j in range(1, len(e) + 1)) + 3
+        cases.append((e, M, range(M + 1)))
+    cases.append(((1, 2, 3, 4), 9, range(5)))
+    slices = members = 0
+    for e, M, shifts in cases:
+        gen = canonical_generator(e)
+        for s in shifts:
+            degrees = tuple(d + s for d in gen.degrees)
+            twists = [gen.twist(a) for a in _fitting_twists(gen, s, M)]
+            assert _hk_dimension(degrees, M) == len(twists), (e, M, s)
+            for T in twists:
+                assert T.degrees == degrees
+                assert all(0 <= x <= M for f in T for exp in f.terms for x in exp)
+                assert check_hk(T).passed, (e, s)
+            assert len({lex_leading(T[0])[0] for T in twists}) == len(twists)
+            slices += 1
+            members += len(twists)
+    _report(10, f"in {slices} box slices (n <= 4) the HK space has the "
+                f"dimension of its fitting generator twists; all {members} "
+                "twists pass HK and are independent")

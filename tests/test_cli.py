@@ -15,11 +15,15 @@ from purebetti.schur import schur_bialternant, schur_ssyt
 from helpers import P
 
 
+def diagram_text(diagram):
+    return json.dumps(diagram.to_json())
+
+
 @pytest.fixture
 def worked_multiple_file(tmp_path):
     multiple = P("t1^2 - t1*t2 + t2^2") * equivariant_tuple((2, 3))
     path = tmp_path / "multiple.json"
-    path.write_text(multiple.to_diagram().dumps())
+    path.write_text(diagram_text(multiple.to_diagram()))
     return str(path)
 
 
@@ -78,8 +82,21 @@ class TestEquivariantCommand:
         code, out = run_cli(capsys, "equivariant", "--e", "2,3",
                             "--twist=-1,2", "--format", "json")
         assert code == 0
-        expected = equivariant_diagram((2, 3)).twist((-1, 2))
+        expected = equivariant_tuple((2, 3)).twist((-1, 2)).to_diagram()
         assert BettiDiagram.from_json(json.loads(out)) == expected
+        code, out = run_cli(capsys, "equivariant", "--e", "2,3", "--twist=-1,2")
+        assert code == 0
+        assert out == (
+            "e = 2,3  degrees = 3,5,8\n"
+            "i=0  rank=3  (1,2) (0,3) (-1,4)\n"
+            "i=1  rank=5  (3,2) (2,3) (1,4) (0,5) (-1,6)\n"
+            "i=2  rank=2  (3,5) (2,6)\n"
+        )
+
+    @pytest.mark.parametrize("twist", ["1", "1,2,3"])
+    def test_twist_of_wrong_length(self, capsys, twist):
+        assert main(["equivariant", "--e", "2,3", "--twist", twist]) == 1
+        assert capsys.readouterr().err == "error: twist vector has wrong length\n"
 
     def test_output_byte_deterministic(self, capsys):
         _, first = run_cli(capsys, "equivariant", "--e", "2,2,2", "--format", "json")
@@ -94,9 +111,11 @@ class TestCheckCommand:
         assert out == "pure: yes  degrees = [4, 6, 9]  e = [2, 3]\nhk: pass\n"
 
     def test_failing_diagram_still_exits_zero(self, capsys, tmp_path):
-        bad = equivariant_diagram((2, 3)) + BettiDiagram(2, {(1, (3, 1)): 1})
+        # the constructor sums a duplicate key into the existing entry
+        bad = BettiDiagram(2, [*equivariant_diagram((2, 3)).entries.items(),
+                               ((1, (3, 1)), 1)])
         path = tmp_path / "bad.json"
-        path.write_text(bad.dumps())
+        path.write_text(diagram_text(bad))
         code, out = run_cli(capsys, "check", "--in", str(path))
         assert code == 0
         assert "hk: fail at k=1" in out
@@ -133,7 +152,7 @@ class TestDecomposeCommand:
     def test_non_member_is_data_not_error(self, capsys, tmp_path):
         gen = equivariant_diagram((2, 3))
         path = tmp_path / "gen.json"
-        path.write_text(gen.dumps())
+        path.write_text(diagram_text(gen))
         code, out = run_cli(capsys, "decompose", "--in", str(path), "--e", "3,2")
         assert code == 0
         assert "in_space: no" in out
@@ -141,10 +160,25 @@ class TestDecomposeCommand:
     def test_not_pure_is_data(self, capsys, tmp_path):
         path = tmp_path / "impure.json"
         impure = BettiDiagram(2, {(0, (1, 0)): 1, (0, (0, 2)): 1})
-        path.write_text(impure.dumps())
+        path.write_text(diagram_text(impure))
         code, out = run_cli(capsys, "decompose", "--in", str(path), "--e", "2,3")
         assert code == 0
         assert "in_space: no" in out and "not pure" in out
+
+    def test_zero_diagram_is_a_member(self, capsys, tmp_path):
+        # the zero vector of every HK space, whatever the gap vector
+        path = tmp_path / "zero.json"
+        path.write_text(diagram_text(BettiDiagram(2)))
+        for e in ("2,3", "1,1"):
+            code, out = run_cli(capsys, "decompose", "--in", str(path), "--e", e)
+            assert code == 0
+            assert out == "in_space: yes\ncofactor: 0\nintegral: yes\n"
+            code, out = run_cli(capsys, "decompose", "--in", str(path), "--e", e,
+                                "--format", "json")
+            assert code == 0
+            assert json.loads(out) == {
+                "in_space": True, "cofactor": {"nvars": 2, "terms": []},
+                "integral": True, "reasons": []}
 
 
 class TestGcdSchurCommand:
@@ -170,7 +204,7 @@ class TestGcdSchurCommand:
 class TestGeneratorCommand:
     def test_recovers_generator(self, capsys, worked_multiple_file, tmp_path):
         base_path = tmp_path / "base.json"
-        base_path.write_text(equivariant_diagram((2, 3)).dumps())
+        base_path.write_text(diagram_text(equivariant_diagram((2, 3))))
         code, out = run_cli(capsys, "generator", "--in", worked_multiple_file,
                             str(base_path))
         assert code == 0
@@ -200,14 +234,15 @@ class TestCollapseAndHilbert:
 
     def test_hilbert_table(self, capsys, tmp_path):
         path = tmp_path / "koszul.json"
-        path.write_text(equivariant_diagram((1, 1)).dumps())
+        path.write_text(diagram_text(equivariant_diagram((1, 1))))
         code, out = run_cli(capsys, "hilbert", "--in", str(path))
         assert code == 0 and out == "1\n"
 
     def test_hilbert_not_divisible_is_data(self, capsys, tmp_path):
-        bad = equivariant_diagram((2, 3)) + BettiDiagram(2, {(0, (2, 0)): 1})
+        bad = BettiDiagram(2, [*equivariant_diagram((2, 3)).entries.items(),
+                               ((0, (2, 0)), 1)])
         path = tmp_path / "bad.json"
-        path.write_text(bad.dumps())
+        path.write_text(diagram_text(bad))
         code, out = run_cli(capsys, "hilbert", "--in", str(path))
         assert code == 0
         assert "not divisible" in out

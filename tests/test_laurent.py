@@ -15,18 +15,16 @@ from purebetti.laurent import (
     gcd,
     gcd_list,
     insert_variable,
-    is_symmetric,
-    is_unit,
     lex_leading,
     parse_poly,
     poly_from_json,
     poly_to_json,
-    set_var_one,
     var_slice,
 )
 
 from helpers import (
-    P, bottom_slice, divides, rand_hom_poly, rand_poly, rand_unit, top_slice,
+    P, bottom_slice, divides, is_symmetric, rand_hom_poly, rand_poly, rand_unit,
+    set_var_one, top_slice,
 )
 
 S421_TEXT = (
@@ -333,9 +331,10 @@ class TestPredicates:
 
 class TestUnits:
     def test_not_a_unit(self):
-        assert is_unit(P("3/2*t1^-1*t2^2"))
-        assert not is_unit(P("t1 + t2"))
-        assert not is_unit(LaurentPoly.zero(2))
+        # the units are the single nonzero terms: their canonical associate is one
+        assert canonical(P("3/2*t1^-1*t2^2")) == LaurentPoly.one(2)
+        assert canonical(P("t1 + t2")) != LaurentPoly.one(2)
+        assert canonical(LaurentPoly.zero(2)) != LaurentPoly.one(2)
 
     def test_unit_equal(self):
         # canonical(f) == canonical(g) exactly when f and g agree up to a unit

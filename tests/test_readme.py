@@ -1,8 +1,11 @@
-"""The README's list of public names and its library example stay true."""
+"""The README's list of public names and its examples stay true."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from purebetti.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -30,3 +33,10 @@ def test_library_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_equivariant_example_is_the_cli_output(capsys):
+    command = "$ purebetti equivariant --e 2,3\n"
+    block = README.split(command, 1)[1].split("\n\n", 1)[0] + "\n"
+    assert main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out == block

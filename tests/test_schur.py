@@ -9,7 +9,6 @@ from purebetti.laurent import (
     canonical,
     frobenius,
     gcd,
-    is_symmetric,
     lex_leading,
     parse_poly,
 )
@@ -18,7 +17,6 @@ from purebetti.schur import (
     check_partition,
     frobenius_split,
     pad_partition,
-    partitions,
     schur_bialternant,
     schur_family_gcd_bruteforce,
     schur_gcd_family,
@@ -28,7 +26,7 @@ from purebetti.schur import (
     term_partition,
 )
 
-from helpers import P, bottom_slice, divides, top_slice
+from helpers import P, bottom_slice, divides, is_symmetric, partitions, top_slice
 
 
 def embed_pair(f, i, j, n):
@@ -142,7 +140,7 @@ class TestSchurPolynomials:
                         if {a, b, c} == {0, 1, 2}:
                             expected[(base[a], base[b], base[c])] = coeff
         assert f.terms == expected
-        assert f.evaluate([1, 1, 1]) == 15
+        assert sum(f.terms.values()) == 15
         assert lex_leading(f) == ((4, 2, 1), 1)
         assert schur_ssyt((4, 2, 1), 3) == f
 
@@ -162,7 +160,7 @@ class TestSchurPolynomials:
             assert f.is_homogeneous() and f.degree() == sum(lam)
             assert all(isinstance(c, int) and c > 0 for c in f.terms.values())
             assert lex_leading(f) == (lam, 1)
-            assert f.evaluate([1] * n) == schur_ssyt(lam, n).evaluate([1] * n)
+            assert sum(f.terms.values()) == sum(schur_ssyt(lam, n).terms.values())
 
     def test_full_column_is_monomial_factor(self):
         lam = (4, 3, 2)

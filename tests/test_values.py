@@ -18,18 +18,16 @@ from purebetti.laurent import (
     _quo_or_none,
     frobenius,
     insert_variable,
-    set_var_one,
     var_slice,
 )
 from purebetti.schur import (
     check_difference_vector,
     check_partition,
-    partitions,
     schur_polys,
     term_partition,
 )
 
-from helpers import rand_hom_poly, rand_poly
+from helpers import partitions, rand_hom_poly, rand_poly, set_var_one
 
 
 def _canonical_value(c):
@@ -152,7 +150,7 @@ def test_json_coeff_matches_fraction(text):
     assert type(got) is (int if want.denominator == 1 else Fraction)
     d = BettiDiagram.from_json(
         {"nvars": 1, "entries": [{"i": 0, "deg": [0], "mult": text}]})
-    assert d.multiplicity(0, (0,)) == want
+    assert d.entries.get((0, (0,)), 0) == want
 
 
 class TestBooleansRejected:
@@ -179,11 +177,11 @@ class TestBooleansRejected:
         lambda: check_difference_vector((2, 1.0)),
         lambda: check_partition((2, True)),
         lambda: check_partition((2.0, 1)),
-        lambda: equivariant_diagram((2, 3)).twist((True, 0)),
-        lambda: equivariant_diagram((2, 3)).twist((0.5, 0)),
+        lambda: equivariant_diagram((2, 3)).to_tuple().twist((True, 0)),
+        lambda: equivariant_diagram((2, 3)).to_tuple().twist((0.5, 0)),
         lambda: equivariant_tuple((2, 3)).twist((True, 0)),
-        lambda: equivariant_diagram((2, 3)).frobenius(True),
-        lambda: equivariant_diagram((2, 3)).frobenius(2.0),
+        lambda: equivariant_diagram((2, 3)).to_tuple().frobenius(True),
+        lambda: equivariant_diagram((2, 3)).to_tuple().frobenius(2.0),
         lambda: equivariant_tuple((2, 3)).frobenius(True),
         lambda: LaurentPoly(True, {(1,): 1}),
         lambda: LaurentPoly(2.0),
@@ -194,6 +192,8 @@ class TestBooleansRejected:
         lambda: LaurentPoly.variable(True, 2),
         lambda: set_var_one(LaurentPoly.one(2), True),
         lambda: LaurentPoly.one(2) ** True,
+        lambda: LaurentPoly.one(2).var_degree(True),
+        lambda: LaurentPoly.one(2).var_degree(1.0),
     ], ids=[
         "gap-bool", "gap-float", "partition-bool", "partition-float",
         "diagram-twist-bool", "diagram-twist-float", "tuple-twist-bool",
@@ -201,11 +201,20 @@ class TestBooleansRejected:
         "poly-nvars-bool", "poly-nvars-float", "diagram-nvars-float",
         "diagram-nvars-bool", "schur-nvars-bool", "term-index-bool",
         "variable-index-bool", "set-var-one-bool", "power-bool",
+        "var-degree-bool", "var-degree-float",
     ])
     def test_non_int_values(self, call):
         # type(x) is int: bools and floats are refused wherever an integer is due
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_var_degree_index_in_range(self, i):
+        # a 0 or negative index used to read another variable's degree
+        f = LaurentPoly(2, {(3, 1): 1, (0, 5): 1})
+        assert (f.var_degree(1), f.var_degree(2)) == (3, 5)
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            f.var_degree(i)
 
 
 class TestImmutable:
