@@ -1,12 +1,12 @@
 """Multigraded Betti diagrams, Betti polynomial tuples, and the equivariant diagram.
 
-A diagram stores rational multiplicities indexed by homological degree i
-and multidegree a; slice i is equivalently encoded by its Betti polynomial
-sum_a beta_{i,a} t^a.  Diagrams of actual resolutions have nonnegative
-integer entries, but rational entries of either sign are allowed so that
-arbitrary elements of the linear span can be read and written.  The
-linear-space arithmetic (sums, multiples, twists, Frobenius rescaling)
-lives on BettiTuple; BettiDiagram is the interchange format.
+A diagram holds rational multiplicities beta_{i,a} indexed by homological
+degree i and multidegree a, stored as its n+1 Betti polynomials
+B_i = sum_a beta_{i,a} t^a.  Diagrams of actual resolutions have
+nonnegative integer entries, but rational entries of either sign are
+allowed so that arbitrary elements of the linear span can be read and
+written.  The linear-space arithmetic (sums, multiples, twists, Frobenius
+rescaling) lives on BettiTuple; BettiDiagram is the interchange format.
 """
 
 from __future__ import annotations
@@ -183,55 +183,59 @@ class BettiTuple:
         return _profile_from_degrees(self.degrees)
 
     def to_diagram(self):
-        return BettiDiagram._trusted(self.nvars, {
-            (i, exp): c
-            for i, f in enumerate(self.components)
-            for exp, c in f.terms.items()})
+        return BettiDiagram._trusted(self.nvars, self.components)
 
 
 class BettiDiagram:
-    """Map (homological index, multidegree) -> rational multiplicity.
+    """The n+1 Betti polynomials of a diagram, which need not be homogeneous.
 
     The checked interchange form of a diagram (JSON, tables, collapse);
     to_tuple gives the BettiTuple that does the arithmetic.
     """
 
-    __slots__ = ("nvars", "entries")
+    __slots__ = ("nvars", "components")
 
     def __init__(self, nvars, entries=()):
         _check_nvars(nvars)
         items = entries.items() if isinstance(entries, Mapping) else entries
-        table = {}
+        tables = [{} for _ in range(nvars + 1)]
         for (i, exp), mult in items:
             exp = tuple(exp)
             if type(i) is not int:
                 raise ValueError(f"homological index {i!r} must be an integer")
             if not _is_int_vector(exp):
                 raise ValueError(f"multidegree {exp} must consist of integers")
-            _add_entry(table, nvars, i, exp, _norm_coeff(mult))
+            _add_entry(tables, nvars, i, exp, _norm_coeff(mult))
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "entries", MappingProxyType(table))
+        object.__setattr__(self, "components", tuple(
+            LaurentPoly._trusted(nvars, t) for t in tables))
 
     __setattr__ = __delattr__ = _frozen
 
     @classmethod
-    def _trusted(cls, nvars, table):
-        """Wrap an entry table the library built itself, without re-checking it.
+    def _trusted(cls, nvars, components):
+        """Wrap polynomials the library built itself, without re-checking them.
 
-        The caller guarantees what __init__ would check: every key is
-        (i, exp) with 0 <= i <= nvars and exp a tuple of nvars ints, every
-        value a nonzero int or a non-integral Fraction, and no one else
-        holds the table.
+        The caller guarantees that components is a tuple of nvars + 1
+        LaurentPoly values in nvars variables.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "entries", MappingProxyType(table))
+        object.__setattr__(self, "components", components)
         return self
+
+    @property
+    def entries(self):
+        """Read-only view {(i, multidegree): multiplicity}, built on access."""
+        return MappingProxyType({
+            (i, exp): m
+            for i, f in enumerate(self.components)
+            for exp, m in f.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, BettiDiagram):
             return NotImplemented
-        return self.nvars == other.nvars and self.entries == other.entries
+        return self.nvars == other.nvars and self.components == other.components
 
     __hash__ = None
 
@@ -241,49 +245,41 @@ class BettiDiagram:
     def __rmul__(self, c):
         if not isinstance(c, (int, Fraction)):
             return NotImplemented
-        return BettiDiagram(
-            self.nvars, {key: c * m for key, m in self.entries.items()})
-
-    def betti_polynomials(self):
-        """Betti polynomials B_i = sum_a beta_{i,a} t^a for i = 0..n."""
-        tables = [{} for _ in range(self.nvars + 1)]
-        for (i, exp), m in self.entries.items():
-            tables[i][exp] = m
-        return tuple(LaurentPoly._trusted(self.nvars, t) for t in tables)
+        return BettiDiagram._trusted(
+            self.nvars, tuple(c * f for f in self.components))
 
     def collapse_total(self):
         """Sum multiplicities over multidegrees of equal total degree."""
         table = {}
-        for (i, exp), m in self.entries.items():
-            key = (i, sum(exp))
-            acc = table.get(key, 0) + m
-            if acc:
-                table[key] = acc
-            else:
-                table.pop(key, None)
+        for i, f in enumerate(self.components):
+            for exp, m in f.terms.items():
+                key = (i, sum(exp))
+                acc = table.get(key, 0) + m
+                if acc:
+                    table[key] = acc
+                else:
+                    table.pop(key, None)
         return table
 
     def purity(self):
-        return _purity(self.betti_polynomials())
+        return _purity(self.components)
 
     def to_tuple(self):
         """Betti polynomial tuple of a pure (or empty) diagram."""
-        polys = self.betti_polynomials()
-        profile = _purity(polys)
+        profile = _purity(self.components)
         if profile.witness is not None:
             raise NotPureError(profile.witness)
-        return BettiTuple(polys)
+        return BettiTuple(self.components)
 
     # -- interchange formats ------------------------------------------------
 
     def to_json(self):
-        entries = sorted(self.entries.items(),
-                         key=lambda kv: (kv[0][0], tuple(-x for x in kv[0][1])))
         return {
             "nvars": self.nvars,
             "entries": [
                 {"i": i, "deg": list(exp), "mult": _format_coeff(m)}
-                for (i, exp), m in entries
+                for i, f in enumerate(self.components)
+                for exp, m in f.sorted_terms()
             ],
         }
 
@@ -295,22 +291,22 @@ class BettiDiagram:
         _check_nvars(nvars)
         if not isinstance(obj["entries"], list):
             raise ValueError("'entries' must be a list")
-        table = {}
+        tables = [{} for _ in range(nvars + 1)]
         for item in obj["entries"]:
             try:
                 i, deg, mult = item["i"], item["deg"], item["mult"]
             except (KeyError, TypeError):
                 raise ValueError(
                     "each diagram entry must have 'i', 'deg' and 'mult'") from None
-            _add_entry(table, nvars, _json_int(i, "'i'"),
+            _add_entry(tables, nvars, _json_int(i, "'i'"),
                        _json_ints(deg, "'deg'"), _json_coeff(mult))
-        return cls._trusted(nvars, table)
+        return cls._trusted(
+            nvars, tuple(LaurentPoly._trusted(nvars, t) for t in tables))
 
     def format_table(self):
         """Group by homological index, multidegrees in descending lex order."""
         lines = []
-        polys = self.betti_polynomials()
-        for i, f in enumerate(polys):
+        for i, f in enumerate(self.components):
             cells = []
             for exp, m in f.sorted_terms():
                 cell = "(" + ",".join(str(x) for x in exp) + ")"
@@ -323,19 +319,19 @@ class BettiDiagram:
         return "\n".join(lines)
 
 
-def _add_entry(table, nvars, i, exp, mult):
-    """Range-check one entry and add its normalized multiplicity into table."""
+def _add_entry(tables, nvars, i, exp, mult):
+    """Range-check one entry and add its normalized multiplicity into tables[i]."""
     if not 0 <= i <= nvars:
         raise ValueError(f"homological index {i} out of range 0..{nvars}")
     if len(exp) != nvars:
         raise ValueError(f"multidegree {exp} has wrong length")
-    key = (i, exp)
-    if key in table:
-        mult = _norm_coeff(table[key] + mult)
+    table = tables[i]
+    if exp in table:
+        mult = _norm_coeff(table[exp] + mult)
     if mult:
-        table[key] = mult
+        table[exp] = mult
     else:
-        table.pop(key, None)
+        table.pop(exp, None)
 
 
 def _alternating_terms(polys):
@@ -354,7 +350,7 @@ def _alternating_terms(polys):
 
 def _betti_polys(B):
     """The polynomials of a BettiTuple or of a nonempty plain sequence."""
-    polys = B.components if isinstance(B, BettiTuple) else tuple(B)
+    polys = tuple(B)
     if not polys:
         raise ValueError("need at least one Betti polynomial")
     return polys

@@ -598,54 +598,23 @@ def gcd_list(polys):
 
 
 def det(rows):
-    """Determinant of a square matrix of LaurentPoly entries.
+    """Determinant of a square matrix of LaurentPoly entries, by cofactor expansion.
 
-    Cofactor expansion for orders up to 4 (entries here are mostly
-    monomials, so expansion stays sparse); fraction-free Bareiss
-    elimination with exact division above that.
+    A test oracle; its callers pass matrices of monomials, on which the
+    expansion stays sparse.
     """
     m = len(rows)
     if m == 0 or any(len(r) != m for r in rows):
         raise ValueError("matrix must be square and nonempty")
-    nvars = rows[0][0].nvars
-    if m <= 4:
-        return _det_cofactor(rows, nvars)
-    return _det_bareiss(rows, nvars)
-
-
-def _det_cofactor(rows, nvars):
-    m = len(rows)
     if m == 1:
         return rows[0][0]
-    total = LaurentPoly.zero(nvars)
+    total = LaurentPoly.zero(rows[0][0].nvars)
     for j, entry in enumerate(rows[0]):
         if not entry:
             continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = entry * _det_cofactor(minor, nvars)
+        term = entry * det([r[:j] + r[j + 1:] for r in rows[1:]])
         total = total + term if j % 2 == 0 else total - term
     return total
-
-
-def _det_bareiss(rows, nvars):
-    m = len(rows)
-    mat = [list(r) for r in rows]
-    sign = 1
-    prev = LaurentPoly.one(nvars)
-    for k in range(m - 1):
-        if not mat[k][k]:
-            pivot = next((i for i in range(k + 1, m) if mat[i][k]), None)
-            if pivot is None:
-                return LaurentPoly.zero(nvars)
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                num = mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j]
-                mat[i][j] = exact_div(num, prev)
-        prev = mat[k][k]
-    result = mat[m - 1][m - 1]
-    return result if sign == 1 else -result
 
 
 # -- text and JSON formats ---------------------------------------------------
@@ -716,7 +685,7 @@ def parse_poly(text, nvars):
             if not m:
                 raise ValueError(f"malformed factor {factor!r} in {text!r}")
             if m.group(1) is not None:
-                coeff *= Fraction(m.group(1))
+                coeff *= _json_coeff(m.group(1))
             else:
                 idx = int(m.group(2))
                 if not 1 <= idx <= nvars:
@@ -757,14 +726,17 @@ def _json_coeff(value):
     """The coefficient Fraction(str(value)), normalized like _norm_coeff.
 
     A plain ASCII integer with an optional '-' is parsed by int, which is
-    faster; everything else goes through Fraction, which raises ValueError
-    on malformed text.
+    faster; everything else goes through Fraction.  Malformed text and a
+    zero denominator raise ValueError.
     """
     text = str(value)
     digits = text[1:] if text[:1] == "-" else text
     if digits.isascii() and digits.isdigit():
         return int(text)
-    return _norm_coeff(Fraction(text))
+    try:
+        return _norm_coeff(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
 
 def poly_from_json(obj):

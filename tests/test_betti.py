@@ -62,6 +62,12 @@ class TestDiagramBasics:
             BettiDiagram(2, {(3, (0, 0)): 1})
         with pytest.raises(ValueError):
             BettiDiagram(2, {(0, (0, 0, 0)): 1})
+        # a negative index must not land in the last slot
+        with pytest.raises(ValueError):
+            BettiDiagram(2, {(-1, (0, 0)): 1})
+        with pytest.raises(ValueError):
+            BettiDiagram.from_json(
+                {"nvars": 2, "entries": [{"i": -1, "deg": [0, 0], "mult": "1"}]})
 
     def test_zero_entries_dropped(self):
         d = BettiDiagram(2, [((0, (1, 0)), 1), ((0, (1, 0)), -1)])
@@ -79,6 +85,18 @@ class TestDiagramBasics:
     def test_tuple_round_trip(self):
         d = equivariant_diagram((2, 3))
         assert d.to_tuple().to_diagram() == d
+
+    def test_to_diagram_shares_the_polynomials(self):
+        B = equivariant_tuple((2, 3))
+        assert B.to_diagram().components is B.components
+
+    def test_format_table_marks_an_empty_slot(self):
+        d = BettiDiagram(2, {(0, (0, 0)): 1, (2, (2, 1)): 3})
+        assert d.format_table().splitlines() == [
+            "i=0  rank=1  (0,0)",
+            "i=1  rank=0  -",
+            "i=2  rank=3  (2,1)*3",
+        ]
 
     def test_integrality_predicates(self):
         B = equivariant_tuple((2, 3))
@@ -212,6 +230,10 @@ class TestFrobenius:
 class TestCollapse:
     def test_zero_diagram(self):
         assert BettiDiagram(2).collapse_total() == {}
+
+    def test_cancelling_sum_is_dropped(self):
+        d = BettiDiagram(2, {(0, (1, 0)): 1, (0, (0, 1)): -1})
+        assert d.collapse_total() == {}
 
     def test_rational_entries(self):
         d = BettiDiagram(1, {(0, (0,)): Fraction(1, 2), (1, (1,)): Fraction(1, 2)})

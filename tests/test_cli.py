@@ -232,6 +232,14 @@ class TestCollapseAndHilbert:
             "i=2  degree=9  mult=2\n"
         )
 
+    def test_collapse_of_cancelling_sums_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "cancel.json"
+        path.write_text(diagram_text(
+            BettiDiagram(2, {(0, (1, 0)): 1, (0, (0, 1)): -1})))
+        assert run_cli(capsys, "collapse", "--in", str(path)) == (0, "")
+        code, out = run_cli(capsys, "collapse", "--in", str(path), "--format", "json")
+        assert code == 0 and json.loads(out) == {"nvars": 2, "entries": []}
+
     def test_hilbert_table(self, capsys, tmp_path):
         path = tmp_path / "koszul.json"
         path.write_text(diagram_text(equivariant_diagram((1, 1))))
@@ -295,6 +303,15 @@ class TestExitCodes:
         for command in ("check", "hilbert"):
             assert main([command, "--in", str(path)]) == 1
             assert capsys.readouterr().err.startswith("error: ")
+
+    def test_zero_denominator(self, capsys, tmp_path):
+        path = tmp_path / "zero-denominator.json"
+        path.write_text(json.dumps(
+            {"nvars": 1, "entries": [{"i": 0, "deg": [1], "mult": "1/0"}]}))
+        assert main(["check", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coefficient '1/0' has a zero denominator\n"
 
     def test_wrong_schema(self, capsys, tmp_path):
         path = tmp_path / "odd.json"

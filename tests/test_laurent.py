@@ -6,7 +6,6 @@ import pytest
 from purebetti.laurent import (
     ExactDivisionError,
     LaurentPoly,
-    _det_cofactor,
     canonical,
     det,
     exact_div,
@@ -369,14 +368,6 @@ class TestDeterminant:
     def test_singular(self):
         row = [P("t1"), P("t2")]
         assert det([row, row]) == LaurentPoly.zero(2)
-
-    def test_bareiss_matches_cofactor(self):
-        rng = random.Random(9)
-        for _ in range(5):
-            size = 5
-            mat = [[rand_poly(rng, 2, max_terms=2, lo=0, hi=2, allow_fraction=False)
-                    for _ in range(size)] for _ in range(size)]
-            assert det(mat) == _det_cofactor(mat, 2)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
